@@ -23,14 +23,17 @@ Two fragments matter:
 
 ``log2`` follows the paper's convention: ``log2(x) = ∞`` for ``x < 0`` and
 ``log2(0) = 0``; we additionally round up (``ceil``) so that integer
-recursion depths are bounded soundly.
+recursion depths are bounded soundly, and take ``log2(∞) = ∞``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from operator import add, gt, mul, sub
 from typing import Iterable, Mapping, Optional, Union
+
+from repro import obs
 
 Number = Union[int, float]  # float only for math.inf
 INFINITY: float = math.inf
@@ -41,8 +44,8 @@ class BExpr:
 
     Every constructor interns through a per-class pool, so structurally
     equal expressions are the *same object*.  That makes child tuples
-    usable as pool keys (identity hashing is structural hashing), lets
-    :func:`_syntactically_equal` short-circuit on ``is``, and gives each
+    usable as pool keys (identity hashing is structural hashing), makes
+    the Q:FRAME rewrite's structural test an ``is``, and gives each
     node a place to cache its max-plus normal form: the analyzer and the
     derivation re-check ask :func:`bound_le` about the same subtrees over
     and over, and the normal form of a shared node is computed once.
@@ -230,7 +233,8 @@ class BMul(BExpr):
 
 
 class BLog2(BExpr):
-    """Paper-convention logarithm: ∞ below 0, 0 at 0, else ceil(log2)."""
+    """Paper-convention logarithm: ∞ below 0 and at ∞, 0 at 0, else
+    ceil(log2)."""
 
     __slots__ = ("arg",)
     _pool: dict = {}
@@ -386,29 +390,40 @@ def _eval(expr: BExpr, metric, params) -> Number:
     if isinstance(expr, BScale):
         return expr.factor * _eval(expr.body, metric, params)
     if isinstance(expr, BFrameDiff):
-        total = _eval(expr.total, metric, params)
-        part = _eval(expr.part, metric, params)
-        if total == INFINITY:
-            return INFINITY
-        return max(0, total - part)
+        return _frame_diff(_eval(expr.total, metric, params),
+                           _eval(expr.part, metric, params))
     if isinstance(expr, BMul):
         return _eval(expr.left, metric, params) * _eval(expr.right, metric, params)
     if isinstance(expr, BLog2):
-        arg = _eval(expr.arg, metric, params)
-        if arg < 0:
-            return INFINITY
-        if arg <= 1:
-            return 0
-        return math.ceil(math.log2(arg))
+        return _log2(_eval(expr.arg, metric, params))
     if isinstance(expr, BParamDiff):
         return _eval(expr.left, metric, params) - _eval(expr.right, metric, params)
     if isinstance(expr, BHalf):
-        value = _eval(expr.arg, metric, params)
-        if value == INFINITY:
-            return INFINITY
-        value = int(value)
-        return (value + 1) // 2 if expr.ceil else value // 2
+        return _half(_eval(expr.arg, metric, params), expr.ceil)
     raise TypeError(f"unknown bound expression {expr!r}")
+
+
+# The value rules shared by every evaluator (_eval, _fold, the grid pass).
+
+def _log2(value: Number) -> Number:
+    if value < 0 or value == INFINITY:
+        return INFINITY
+    if value <= 1:
+        return 0
+    return math.ceil(math.log2(value))
+
+
+def _half(value: Number, ceil: bool) -> Number:
+    if value == INFINITY:
+        return INFINITY
+    value = int(value)
+    return (value + 1) // 2 if ceil else value // 2
+
+
+def _frame_diff(total: Number, part: Number) -> Number:
+    if total == INFINITY:
+        return INFINITY
+    return max(0, total - part)
 
 
 # ---------------------------------------------------------------------------
@@ -545,11 +560,7 @@ def _fold(expr: BExpr, params: Mapping[str, int]):
         kind, value = _fold(expr.arg, params)
         if kind != "num":
             raise ValueError("log2 of a metric expression")
-        if value < 0:
-            return "num", INFINITY
-        if value <= 1:
-            return "num", 0
-        return "num", math.ceil(math.log2(value))
+        return "num", _log2(value)
     if isinstance(expr, BMul):
         lk, lv = _fold(expr.left, params)
         rk, rv = _fold(expr.right, params)
@@ -590,10 +601,7 @@ def _fold(expr: BExpr, params: Mapping[str, int]):
         kind, value = _fold(expr.arg, params)
         if kind != "num":
             raise ValueError("half of a metric expression")
-        if value == INFINITY:
-            return "num", INFINITY
-        value = int(value)
-        return "num", (value + 1) // 2 if expr.ceil else value // 2
+        return "num", _half(value, expr.ceil)
     if isinstance(expr, BFrameDiff):
         lk, lv = _fold(expr.total, params)
         rk, rv = _fold(expr.part, params)
@@ -1013,7 +1021,10 @@ def _rewrite_frames_impl(expr: BExpr) -> BExpr:
         for diff in diffs:
             rest = list(items)
             rest.remove(diff)
-            if _syntactically_equal(badd(*rest), diff.part):
+            # Identity, never printed form: BParamDiff and BFrameDiff
+            # print alike, and so do BParam("M(f)") and BMetric("f").
+            # Every node is interned (copies and unpickles included).
+            if badd(*rest) is diff.part:
                 return _rewrite_frames(diff.total)
         return badd(*items)
     if isinstance(expr, BMax):
@@ -1027,13 +1038,6 @@ def _rewrite_frames_impl(expr: BExpr) -> BExpr:
             return total
         return BFrameDiff(total, part)
     return expr
-
-
-def _syntactically_equal(a: BExpr, b: BExpr) -> bool:
-    # Hash-consing makes structural equality an identity check for nodes
-    # built through the constructors; the repr fallback keeps the old
-    # behavior for pickled/copied expressions that bypassed interning.
-    return a is b or repr(a) == repr(b)
 
 
 # ---------------------------------------------------------------------------
@@ -1105,7 +1109,7 @@ def fm_bound_le(small: BExpr, large: BExpr,
     given ``param_domains`` (and metric samples), which reproduces the
     role of the Coq side-condition proofs on a finite verification domain.
     """
-    if isinstance(small, BConst) and small.value == 0:
+    if _is_zero(small):
         # Every bound denotes a value in N ∪ {∞} (evaluation clamps), so
         # 0 is a global lower bound.
         return CompareResult(True, True)
@@ -1115,12 +1119,18 @@ def fm_bound_le(small: BExpr, large: BExpr,
         small_terms = maxplus_normal_form(small)
         large_terms = maxplus_normal_form(large)
     except NotGround:
-        return _bound_le_sampled(small, large, param_domains, metric_samples)
+        return _bound_sampled(small, large, param_domains, metric_samples,
+                              both=False)
+    return CompareResult(_terms_le(small_terms, large_terms), True)
+
+
+def _terms_le(small_terms: Iterable[tuple], large_terms: frozenset) -> bool:
+    """Exact ``max(small_terms) <= max(large_terms)`` for every metric."""
     for term in small_terms:
         if not any(_term_le(term, other) for other in large_terms):
             if not _term_covered(term, large_terms):
-                return CompareResult(False, True)
-    return CompareResult(True, True)
+                return False
+    return True
 
 
 def _default_metric_samples(atoms: set[str]) -> list[dict[str, int]]:
@@ -1134,8 +1144,14 @@ def _default_metric_samples(atoms: set[str]) -> list[dict[str, int]]:
     return samples
 
 
-def _bound_le_sampled(small: BExpr, large: BExpr, param_domains,
-                      metric_samples) -> CompareResult:
+def _sampled_grid(small: BExpr, large: BExpr, param_domains,
+                  metric_samples) -> tuple[list, list, list]:
+    """``(names, domains, metrics)`` of a parametric query.
+
+    The grid is every metric sample times every valuation of the sorted
+    parameter names over their domains; it depends only on the union of
+    both sides, so ``small <= large`` and ``large <= small`` share it.
+    """
     params = param_names(small) | param_names(large)
     atoms = metric_atoms(small) | metric_atoms(large)
     if param_domains is None:
@@ -1148,6 +1164,29 @@ def _bound_le_sampled(small: BExpr, large: BExpr, param_domains,
         else _default_metric_samples(atoms)
     names = sorted(params)
     domains = [list(param_domains[name]) for name in names]
+    return names, domains, metrics
+
+
+def _bound_sampled(small: BExpr, large: BExpr, param_domains,
+                   metric_samples, both: bool) -> CompareResult:
+    """``small <= large``, and ``large <= small`` too if ``both``."""
+    grid = _sampled_grid(small, large, param_domains, metric_samples)
+    try:
+        le, ge = _grid_decide(small, large, *grid, both=both)
+    except Exception:
+        # The grid pass computes every node at every point, while the
+        # reference loop stops at the first violation, which may precede
+        # a point that raises: let the reference decide (or raise).
+        result = _bound_le_pointwise(small, large, *grid)
+        if both and result.holds:
+            result = _bound_le_pointwise(large, small, *grid)
+        return result
+    return CompareResult(le and ge, False)
+
+
+def _bound_le_pointwise(small: BExpr, large: BExpr, names, domains,
+                        metrics) -> CompareResult:
+    """Reference loop: :func:`evaluate` both sides point by point."""
     for metric in metrics:
         for combo in itertools.product(*domains) if names else [()]:
             valuation = dict(zip(names, combo))
@@ -1157,9 +1196,165 @@ def _bound_le_sampled(small: BExpr, large: BExpr, param_domains,
     return CompareResult(True, False)
 
 
-def bound_equal(a: BExpr, b: BExpr, **kwargs) -> CompareResult:
-    le = bound_le(a, b, **kwargs)
-    if not le.holds:
-        return le
-    ge = bound_le(b, a, **kwargs)
-    return CompareResult(ge.holds, le.exact and ge.exact)
+def _grid_decide(small: BExpr, large: BExpr, names, domains, metrics,
+                 both: bool) -> tuple[bool, bool]:
+    """``(small <= large, large <= small)`` at every point of the grid.
+
+    Each distinct node of both sides is computed over all parameter
+    valuations at once: a list indexed like ``itertools.product(*domains)``,
+    or one scalar when the subtree mentions no parameter.  That happens
+    once per metric sample, or once for all samples when the subtree
+    mentions no metric atom.  Each entry is the value :func:`_eval` gives
+    at that point, by the same operations in the same order.  Metric
+    samples are taken in order and the pass stops at the first sample
+    refuting ``small <= large``; the second verdict is only computed when
+    ``both`` is set (and is True otherwise).  Raises whatever an
+    evaluation raises.
+    """
+    size = math.prod(map(len, domains))
+    le = ge = True
+    if not size:
+        return le, ge
+    columns = dict(zip(names, map(list, zip(*itertools.product(*domains)))))
+    shared, varying = [], []
+    per_metric: set[BExpr] = set()
+    for node in _postorder((small, large)):
+        if type(node) is BMetric or not per_metric.isdisjoint(_children(node)):
+            per_metric.add(node)
+            varying.append(node)
+        else:
+            shared.append(node)
+    fixed = _grid_values(shared, None, columns, {})
+    compared = 0
+    for metric in metrics:
+        values = _grid_values(varying, metric, columns, dict(fixed))
+        small_value = _clamp(values[small])
+        large_value = _clamp(values[large])
+        compared += size
+        if _violated(small_value, large_value):
+            le = False
+            break
+        if both and ge:
+            ge = not _violated(large_value, small_value)
+    obs.add("logic.sampled.points", compared)
+    return le, ge
+
+
+def _postorder(roots: Iterable[BExpr]) -> list[BExpr]:
+    """The distinct nodes under ``roots``, each after its children."""
+    order: list[BExpr] = []
+    seen: set[BExpr] = set()
+    stack = [(root, False) for root in reversed(tuple(roots))]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+        elif node not in seen:
+            seen.add(node)
+            stack.append((node, True))
+            stack.extend((child, False) for child in reversed(_children(node))
+                         if child not in seen)
+    return order
+
+
+def _grid_values(order: list[BExpr], metric, columns: dict,
+                 values: dict) -> dict:
+    """Add the grid value of each node of ``order`` (children first) to
+    ``values``, which already holds any other node they read."""
+    for node in order:
+        cls = type(node)
+        if cls is BConst:
+            value = node.value
+        elif cls is BMetric:
+            value = metric[node.function]
+        elif cls is BParam:
+            value = columns[node.name]
+        elif cls is BAdd or cls is BMax:
+            # _eval's running total and max() are both left folds; an
+            # empty BMax raises here as max() raises there.
+            op = add if cls is BAdd else max
+            items = node.items
+            value = values[items[0]] if items or cls is BMax else 0
+            for item in items[1:]:
+                value = _lift(op, value, values[item])
+        elif cls is BScale:
+            value = _lift(mul, node.factor, values[node.body])
+        elif cls is BFrameDiff:
+            value = _lift(_frame_diff, values[node.total], values[node.part])
+        elif cls is BMul:
+            value = _lift(mul, values[node.left], values[node.right])
+        elif cls is BLog2:
+            arg = values[node.arg]
+            value = list(map(_log2, arg)) if type(arg) is list \
+                else _log2(arg)
+        elif cls is BParamDiff:
+            value = _lift(sub, values[node.left], values[node.right])
+        elif cls is BHalf:
+            value = _lift(_half, values[node.arg], node.ceil)
+        else:
+            raise TypeError(f"unknown bound expression {node!r}")
+        values[node] = value
+    return values
+
+
+def _lift(op, x, y):
+    """``op`` pointwise; a scalar operand is constant over the grid."""
+    if type(x) is list:
+        return list(map(op, x, y if type(y) is list else itertools.repeat(y)))
+    if type(y) is list:
+        return list(map(op, itertools.repeat(x), y))
+    return op(x, y)
+
+
+def _clamp(value):
+    # evaluate()'s clamp into N ∪ {∞}: max(0, v) keeps v exactly when
+    # v > 0 (∞ included; NaN and -∞ clamp to 0).
+    if type(value) is list:
+        return [v if v > 0 else 0 for v in value]
+    return value if value > 0 else 0
+
+
+def _violated(small, large) -> bool:
+    """Some grid point has ``small > large``."""
+    if type(small) is not list:
+        if type(large) is not list:
+            return small > large
+        small = itertools.repeat(small)
+    elif type(large) is not list:
+        large = itertools.repeat(large)
+    return any(map(gt, small, large))
+
+
+def bound_equal(a: BExpr, b: BExpr,
+                param_domains: Optional[Mapping[str, Iterable[int]]] = None,
+                metric_samples: Optional[Iterable[Mapping[str, int]]] = None,
+                backend: Optional[str] = None) -> CompareResult:
+    """Decide ``a <= b`` and ``b <= a``; exact only if both were.
+
+    Under ``fm``, each side is rewritten and normalized once and both
+    directions are decided from the two normal forms, or from one pass
+    over the verification grid.  A constant-0 side and the other
+    backends take two :func:`bound_le` calls.
+    """
+    chosen = backend or _BACKEND
+    if chosen != "fm" or _is_zero(a) or _is_zero(b):
+        le = bound_le(a, b, param_domains, metric_samples, backend)
+        if not le.holds:
+            return le
+        ge = bound_le(b, a, param_domains, metric_samples, backend)
+        return CompareResult(ge.holds, le.exact and ge.exact)
+    a = _rewrite_frames(a)
+    b = _rewrite_frames(b)
+    try:
+        a_terms = maxplus_normal_form(a)
+        b_terms = maxplus_normal_form(b)
+    except NotGround:
+        return _bound_sampled(a, b, param_domains, metric_samples,
+                              both=True)
+    if not _terms_le(a_terms, b_terms):
+        return CompareResult(False, True)
+    return CompareResult(_terms_le(b_terms, a_terms), True)
+
+
+def _is_zero(expr: BExpr) -> bool:
+    return isinstance(expr, BConst) and expr.value == 0

@@ -357,7 +357,7 @@ def load_certificate(text: str, program: cl.Program):
                 raise DerivationError(
                     f"{name}: advertised total_bound does not equal "
                     f"M({name}) + spec precondition")
-        except ValueError as error:
+        except (ValueError, ArithmeticError) as error:
             raise DerivationError(
                 f"{name}: cannot validate total_bound: {error}")
 
@@ -368,10 +368,11 @@ def load_certificate(text: str, program: cl.Program):
         try:
             check_function_spec(program.function(name), derivation, ctx,
                                 report)
-        except ValueError as error:
+        except (ValueError, ArithmeticError) as error:
             # The sampled comparator raises ValueError when a parameter
-            # has no declared domain; in a certificate that is a proof
-            # defect, not a usage error.
+            # has no declared domain, and evaluation raises on undefined
+            # arithmetic such as half of -∞; in a certificate either is
+            # a proof defect, not a usage error.
             raise DerivationError(
                 f"{name}: sampled side condition not coverable: {error}")
     return gamma, bounds, report

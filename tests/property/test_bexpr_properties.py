@@ -2,18 +2,28 @@
 
 The central property: the exact max-plus comparator agrees with pointwise
 evaluation on arbitrary metrics — soundness *and* completeness of the
-decision procedure on the ground fragment.
+decision procedure on the ground fragment.  On the parametric fragment,
+the sampled comparator agrees with a point-by-point loop over
+``evaluate``, verdicts and raised exceptions alike.
 """
 
-from hypothesis import given, settings
+import itertools
+
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.logic.bexpr import (BConst, BFrameDiff, BScale, badd, bmax,
-                               bmetric, bound_le, evaluate,
-                               find_violation_metric, fold_with_params,
-                               maxplus_normal_form)
+from repro.logic.bexpr import (INFINITY, BConst, BFrameDiff, BHalf, BLog2,
+                               BMul, BParamDiff, BScale, NotGround, ZERO,
+                               _default_metric_samples, _rewrite_frames,
+                               badd, bmax, bmetric, bound_equal, bound_le,
+                               bparam, evaluate, find_violation_metric,
+                               fold_with_params, maxplus_normal_form,
+                               metric_atoms, param_names)
 
 ATOMS = ("f", "g", "h")
+PARAMS = ("m", "n")
+# ∞ twice: it is what makes NaN and -∞ (0·∞, ∞ - ∞, n - ∞) reachable.
+CONSTANTS = (0, 1, 7, INFINITY, INFINITY)
 
 
 @st.composite
@@ -30,6 +40,89 @@ def ground_bounds(draw, depth=3):
     if kind == 1:
         return bmax(left, right)
     return BScale(draw(st.integers(0, 4)), left)
+
+
+@st.composite
+def parametric_bounds(draw, depth=3):
+    """The whole algebra: parameters, ∞, and every parametric operator,
+    including differences that go negative and scaling by 0."""
+    if depth == 0 or draw(st.booleans()):
+        leaf = draw(st.integers(0, 2))
+        if leaf == 0:
+            return BConst(draw(st.sampled_from(CONSTANTS)))
+        if leaf == 1:
+            return bmetric(draw(st.sampled_from(ATOMS[:2])))
+        return bparam(draw(st.sampled_from(PARAMS)))
+    kind = draw(st.integers(0, 7))
+    left = draw(parametric_bounds(depth=depth - 1))
+    if kind == 0:
+        return badd(left, draw(parametric_bounds(depth=depth - 1)))
+    if kind == 1:
+        return bmax(left, draw(parametric_bounds(depth=depth - 1)))
+    if kind == 2:
+        return BScale(draw(st.integers(0, 3)), left)
+    if kind == 3:
+        return BMul(left, draw(parametric_bounds(depth=depth - 1)))
+    if kind == 4:
+        return BParamDiff(left, draw(parametric_bounds(depth=depth - 1)))
+    if kind == 5:
+        return BFrameDiff(left, draw(parametric_bounds(depth=depth - 1)))
+    if kind == 6:
+        return BLog2(left)
+    return BHalf(left, draw(st.booleans()))
+
+
+@st.composite
+def small_domains(draw):
+    return {name: draw(st.lists(st.integers(-3, 9), max_size=4))
+            for name in PARAMS}
+
+
+def _is_ground(expr):
+    try:
+        maxplus_normal_form(expr)
+    except NotGround:
+        return False
+    return True
+
+
+def parametric_pair(a, b):
+    """Not both ground after the Q:FRAME rewrite, so not decided exactly."""
+    return not all(_is_ground(_rewrite_frames(side)) for side in (a, b))
+
+
+def reference_le(small, large, domains):
+    """``bound_le`` on the parametric fragment, point by point."""
+    if small is ZERO:
+        return True, True
+    small, large = _rewrite_frames(small), _rewrite_frames(large)
+    names = sorted(param_names(small) | param_names(large))
+    atoms = metric_atoms(small) | metric_atoms(large)
+    for metric in _default_metric_samples(atoms):
+        for combo in itertools.product(*(domains[name] for name in names)):
+            valuation = dict(zip(names, combo))
+            if evaluate(small, metric, valuation) > \
+                    evaluate(large, metric, valuation):
+                return False, False
+    return True, False
+
+
+def reference_equal(a, b, domains):
+    holds, exact = reference_le(a, b, domains)
+    if not holds:
+        return holds, exact
+    holds, other_exact = reference_le(b, a, domains)
+    return holds, exact and other_exact
+
+
+def outcome(decide, *args):
+    """``(holds, exact)``, or the type of the exception raised."""
+    try:
+        result = decide(*args)
+    except Exception as error:  # the exception type is the outcome
+        return type(error)
+    return result if isinstance(result, tuple) else \
+        (result.holds, result.exact)
 
 
 @st.composite
@@ -112,6 +205,31 @@ class TestComparatorSoundnessCompleteness:
     @given(ground_bounds(), ground_bounds())
     def test_add_monotone(self, a, b):
         assert bound_le(a, badd(a, b)).holds
+
+
+class TestSampledComparator:
+    @settings(max_examples=300)
+    @given(parametric_bounds(), parametric_bounds(), small_domains())
+    def test_le_matches_pointwise_reference(self, a, b, domains):
+        assume(parametric_pair(a, b))
+        expected = outcome(reference_le, a, b, domains)
+        assert outcome(bound_le, a, b, domains) == expected, (a, b, domains)
+
+    @settings(max_examples=300)
+    @given(parametric_bounds(), parametric_bounds(), small_domains())
+    def test_equal_matches_pointwise_reference(self, a, b, domains):
+        assume(parametric_pair(a, b))
+        expected = outcome(reference_equal, a, b, domains)
+        assert outcome(bound_equal, a, b, domains) == expected, \
+            (a, b, domains)
+
+    @given(ground_bounds(), ground_bounds())
+    def test_ground_equal_is_both_directions(self, a, b):
+        le, ge = bound_le(a, b), bound_le(b, a)
+        expected = (False, le.exact) if not le.holds else \
+            (ge.holds, le.exact and ge.exact)
+        result = bound_equal(a, b)
+        assert (result.holds, result.exact) == expected
 
 
 class TestFrameDiff:

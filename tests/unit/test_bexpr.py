@@ -4,12 +4,13 @@ import math
 
 import pytest
 
-from repro.logic.bexpr import (BConst, BFrameDiff, BLog2, BMax, BMul, BParam,
-                               BParamDiff, BScale, INFINITY, NotGround, TOP,
-                               ZERO, badd, bconst, bmax, bmetric, bound_equal,
-                               bound_le, bparam, evaluate, fold_with_params,
-                               maxplus_normal_form, metric_atoms, param_names,
-                               substitute_params)
+from repro import obs
+from repro.logic.bexpr import (BConst, BFrameDiff, BHalf, BLog2, BMax, BMul,
+                               BParam, BParamDiff, BScale, INFINITY, NotGround,
+                               TOP, ZERO, badd, bconst, bmax, bmetric,
+                               bound_equal, bound_le, bparam, evaluate,
+                               fold_with_params, maxplus_normal_form,
+                               metric_atoms, param_names, substitute_params)
 
 M = {"f": 8, "g": 16, "h": 24}
 
@@ -69,6 +70,12 @@ class TestEvaluation:
         assert evaluate(BLog2(bconst(2))) == 1
         assert evaluate(BLog2(bconst(3))) == 2  # ceiling
         assert evaluate(BLog2(bconst(1024))) == 10
+
+    def test_log2_of_infinity_is_infinite(self):
+        assert evaluate(BLog2(TOP)) == INFINITY
+        assert fold_with_params(BLog2(TOP), {}) is TOP
+        assert not bound_le(BLog2(TOP), bconst(5)).holds
+        assert bound_le(bconst(5), BLog2(TOP)).holds
 
     def test_log2_of_negative_is_infinite(self):
         expr = BLog2(BParamDiff(bparam("lo"), bparam("hi")))
@@ -157,6 +164,22 @@ class TestOrder:
         result = bound_equal(framed, total)
         assert result.holds and result.exact
 
+    @pytest.mark.parametrize("added, subtracted, domains", [
+        # BParamDiff and BFrameDiff both print as "(x - y)".
+        (BParamDiff(bparam("x"), bparam("y")),
+         BFrameDiff(bparam("x"), bparam("y")), {"x": [0], "y": [5]}),
+        # A certificate may name a parameter "M(f)", printed like M(f).
+        (BParam("M(f)"), bmetric("f"), {"M(f)": [0]}),
+    ])
+    def test_frame_rewrite_needs_the_same_node(self, added, subtracted,
+                                               domains):
+        """Q:FRAME's ``part + (total - part) -> total`` fires only when
+        the added term is the subtracted node itself, not a look-alike."""
+        large = badd(added, BFrameDiff(bconst(10), subtracted))
+        params = {name: values[0] for name, values in domains.items()}
+        assert evaluate(large, {"f": 8}, params) < 10
+        assert not bound_le(bconst(10), large, param_domains=domains).holds
+
     def test_paper_figure5_shape(self):
         # {max(mf, mg)} f(); g() {max(mf, mg)}: both call bounds are
         # below the max.
@@ -176,6 +199,35 @@ class TestOrder:
         result = bound_le(bparam("n"), bconst(10),
                           param_domains={"n": range(0, 12)})
         assert not result.holds
+
+    def test_parametric_equal_counts_every_grid_point_once(self):
+        """Both directions of a passing sampled equality compare every
+        (metric sample, valuation) pair: 4 default samples x 601."""
+        n, f = bparam("n"), bmetric("f")
+        obs.reset()
+        obs.enable()
+        try:
+            result = bound_equal(badd(n, f), badd(f, n),
+                                 param_domains={"n": range(0, 601)})
+            points = obs.registry.snapshot()["counters"][
+                "logic.sampled.points"]
+        finally:
+            obs.disable()
+            obs.reset()
+        assert result.holds and not result.exact
+        assert points == 2404
+
+    def test_grid_failure_falls_back_to_first_violation(self):
+        """At n = 0 the left side exceeds the right; at n = 1 the right
+        side raises (half of -∞).  The point-by-point order refutes
+        before reaching the raising point, and so does bound_le."""
+        # log2(0 - n) is 0 at n = 0 and ∞ at n = 1.
+        minus_log = BParamDiff(ZERO, BLog2(BParamDiff(ZERO, bparam("n"))))
+        raising = BHalf(minus_log)
+        assert not bound_le(bconst(3), raising,
+                            param_domains={"n": [0, 1]}).holds
+        with pytest.raises(OverflowError):
+            bound_le(bconst(3), raising, param_domains={"n": [1, 0]})
 
     def test_parametric_scaled_metric(self):
         small = BMul(bparam("n"), bmetric("f"))

@@ -4,6 +4,7 @@ import pytest
 
 from repro import obs
 from repro.__main__ import main
+from repro.programs.loader import program_path
 
 
 @pytest.fixture(autouse=True)
@@ -178,6 +179,42 @@ class TestCheckCertRejection:
         bad = tmp_path / "total.json"
         bad.write_text(json.dumps(data))
         self._expect_reject(program_file, str(bad), capsys, "total_bound")
+
+
+class TestCheckCertUndefinedArithmetic:
+    """Infinite constants in a parametric total bound end in a diagnosis."""
+
+    PROGRAM = str(program_path("recursive/bsearch.c"))
+
+    @pytest.fixture(scope="class")
+    def certificate(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("cert") / "bsearch.cert.json"
+        assert main(["certify", self.PROGRAM, "-o", str(path)]) == 0
+        return path.read_text()
+
+    @pytest.mark.parametrize("total, needle", [
+        # log2(∞) = ∞: a refuted total, not a crash.
+        ({"k": "log2", "arg": {"k": "const", "v": "inf"}},
+         "does not equal"),
+        # half(n - ∞) = half(-∞) has no value.
+        ({"k": "half", "ceil": False,
+          "arg": {"k": "pdiff", "l": {"k": "param", "p": "bsearch$#n"},
+                  "r": {"k": "const", "v": "inf"}}},
+         "cannot validate total_bound"),
+    ])
+    def test_exits_2_with_one_line(self, certificate, total, needle,
+                                   tmp_path, capsys):
+        import json
+
+        data = json.loads(certificate)
+        data["functions"]["bsearch"]["total_bound"] = total
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["check-cert", self.PROGRAM, str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and needle in err
+        assert err.count("\n") == 1
 
 
 class TestFuzzMatrixCLI:
