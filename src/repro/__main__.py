@@ -86,8 +86,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--fuel", type=int, default=200_000_000)
     run.add_argument("--engine", default=None,
                      choices=["legacy", "decoded", "codegen"],
-                     help="force an execution tier (default: codegen; "
-                          "legacy and decoded stay as oracles)")
+                     help="force an execution tier (default: start on "
+                          "decoded, switch to codegen once a long run has "
+                          "paid for compiling it; legacy and decoded stay "
+                          "as oracles)")
 
     dump = add_common(sub.add_parser(
         "dump", help="print an intermediate representation"))

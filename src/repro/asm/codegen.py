@@ -28,13 +28,22 @@ suite in ``tests/unit/test_asm_codegen.py`` proves it over the catalog
 and generated seeds).  Two mechanisms keep the exactness cheap:
 
 * every cold error helper records the precise completed-step count in
-  ``machine._cg_steps`` before raising, so the trampoline can settle
-  ``machine.steps`` exactly as ``run_decoded`` does;
+  ``machine._cg_steps`` before raising, so the trampoline in
+  :func:`repro.asm.decode.run` settles ``machine.steps`` exactly as the
+  decoded engine does;
 * when a block cannot run to completion on the remaining fuel — or a
-  ``ret`` lands at an address that is not a compiled call-return site —
-  execution *deopts*: the machine binds the decoded engine lazily and
-  single-steps the tail, so every fuel-boundary and wild-return corner
-  case is decided by the oracle engine itself.
+  ``ret`` lands at an address that is not a block leader — execution
+  *deopts*: the machine binds the decoded engine lazily and runs the
+  rest in :func:`repro.asm.decode.dispatch`, so every fuel-boundary and
+  wild-return corner case is decided by the oracle engine itself.
+
+The generated module maps every block leader's code address (the
+encoding return addresses use) to its block function.  ``ret`` looks its
+target up there, and the tiered default run enters generated code
+through the same map: it starts on the decoded engine and, once it has
+taken enough steps to pay for ``compile()``, single-steps to the next
+leader and calls that block with the same machine state and step count
+— the reverse of a deopt.
 
 ``_MISCOMPILE`` is a deliberate-bug knob used by the codegen-layer fault
 operators in ``testing/faults.py``: it makes the generator emit one of
@@ -51,11 +60,11 @@ from weakref import WeakKeyDictionary
 from repro import ints, obs
 from repro.asm import ast as asm
 from repro.asm.decode import (CODE_BASE, EAX, FREG_INDEX, FUNCTION_STRIDE,
-                              GLOBAL_BASE, HALT_ADDRESS, IREG_INDEX, _F64)
+                              GLOBAL_BASE, HALT_ADDRESS, IREG_INDEX, _F64,
+                              dispatch)
 from repro.c.types import align_up
 from repro.errors import (DynamicError, MemoryError_, StackOverflowError_,
                           UndefinedBehaviorError)
-from repro.events.trace import Behavior, Converges, Diverges, GoesWrong
 from repro.memory.values import VFloat, VInt
 from repro.runtime import call_external
 
@@ -66,7 +75,7 @@ _MASK = 0xFFFFFFFF
 #: (block layout, superinstruction set, helper protocol, …) must bump it
 #: so a stored artifact from an older generator is recompiled, never
 #: executed.
-CODEGEN_VERSION = 1
+CODEGEN_VERSION = 2
 
 #: Deliberate-miscompile knob for the codegen-layer fault operators.
 #: ``None`` (always, outside the mutation matrix) = faithful codegen;
@@ -159,39 +168,19 @@ def _h_check_float(result, name: str) -> float:
 
 
 def _h_deopt(m, st: int, fid: int, pc: int, fuel: int):
-    """Leave codegen for the decoded engine at ``(fid, pc)``.
+    """Leave generated code for the decoded engine at ``(fid, pc)``.
 
     Used for fuel tails (the next block might not fit in the remaining
-    fuel) and for ``ret`` targets that are not compiled call-return
-    sites.  The decoded engine is bound lazily on first deopt and runs
-    the remainder of the program, so every boundary case is literally
-    decided by the oracle tier.
+    fuel) and for ``ret`` targets that are not block leaders.  The
+    decoded engine runs the remainder of the program, so every boundary
+    case is literally decided by the oracle tier.
     """
-    from repro.asm import decode
-    if m._bound is None:
-        decode.bind_machine(m)
-    _func_ops, ops_by_id = m._bound
-    ops = ops_by_id[fid]
-    steps = st
-    try:
-        while steps < fuel:
-            steps += 1
-            npc = ops[pc](pc)
-            if npc is None:
-                if m.done:
-                    break
-                ops = m._ops
-                pc = m._pc
-            else:
-                pc = npc
-    except BaseException:
-        m._cg_steps = steps
-        raise
-    return None, steps
+    m._cg_left = (st, time.perf_counter())
+    return dispatch(m, st, fid, pc, fuel)
 
 
 def _h_ret_slow(m, st: int, address: int, fuel: int):
-    """``ret`` to an address that is not a compiled call-return site.
+    """``ret`` to an address that is not a block leader.
 
     Replays the decoded engine's dispatch chain (non-code address,
     unknown function id, past-the-end index) with byte-identical
@@ -821,7 +810,7 @@ class _BlockEmitter:
         w.line(ind + 1,
                "m.return_code = _v - 4294967296 if _v > 2147483647 else _v")
         w.line(ind + 1, f"return None, st + {self.K}")
-        w.line(ind, "_t = RETMAP.get(_ra)")
+        w.line(ind, "_t = BLOCKS.get(_ra)")
         w.line(ind, "if _t is None:")
         w.line(ind + 1, f"return retslow(m, st + {self.K}, _ra, fuel)")
         w.line(ind, f"return _t, st + {self.K}")
@@ -1002,7 +991,8 @@ class _BlockEmitter:
 
 def _generate(program: asm.AsmProgram,
               miscompile: Optional[str] = None) -> str:
-    """The per-program Python source: ``bind(m, fuel, H) -> entry block``."""
+    """The per-program Python source: ``bind(m, fuel, H) -> BLOCKS``, the
+    block functions by the code address of their leader."""
     glb = _global_layout(program)
     names = list(program.functions)
     fids = {name: i for i, name in enumerate(names)}
@@ -1028,7 +1018,7 @@ def _generate(program: asm.AsmProgram,
     w.line(1, '_NAN = float("nan"); _INF = float("inf")')
     w.line(1, '_NINF = float("-inf")')
 
-    retmap: list[tuple[int, str]] = []
+    blocks: list[tuple[int, str]] = []
     for fid, name in enumerate(names):
         fn = program.functions[name]
         body = fn.body
@@ -1038,9 +1028,6 @@ def _generate(program: asm.AsmProgram,
         for pc, ins in enumerate(body):
             if isinstance(ins, (asm.Pjmp, asm.Pjcc, asm.Pcall, asm.Pret)):
                 leaders.add(pc + 1)
-            if isinstance(ins, asm.Pcall):
-                ra = CODE_BASE + fid * FUNCTION_STRIDE + (pc + 1)
-                retmap.append((ra, f"B{fid}_{pc + 1}"))
         order = sorted(leaders)
         for i, start in enumerate(order):
             if start == n:
@@ -1053,16 +1040,14 @@ def _generate(program: asm.AsmProgram,
         w.line(3, f"return deopt(m, st, {fid}, {n}, fuel)")
         msg = f"{name}: fell off the end of the code"
         w.line(2, f"return dyn(m, st + 1, {msg!r})")
+        blocks += [(CODE_BASE + fid * FUNCTION_STRIDE + start,
+                    f"B{fid}_{start}") for start in order]
 
-    w.line(1, "RETMAP = {")
-    for address, block in retmap:
+    w.line(1, "BLOCKS = {")
+    for address, block in blocks:
         w.line(2, f"{address}: {block},")
     w.line(1, "}")
-    main_fid = fids.get(program.main)
-    if main_fid is None:
-        w.line(1, "return None")  # start() raises "no main function" first
-    else:
-        w.line(1, f"return B{main_fid}_0")
+    w.line(1, "return BLOCKS")
     return w.source()
 
 
@@ -1169,27 +1154,12 @@ def install_source(program: asm.AsmProgram, source: str) -> CompiledAsm:
     return compiled
 
 
-def run_codegen(machine, fuel: int) -> Behavior:
-    """Run an ``engine="codegen"`` machine to a behavior."""
-    trace: list = []
-    machine._trace = trace
-    machine._cg_steps = 0
-    st = 0
-    try:
-        machine.start()
-        entry = codegen_program(machine.program).bind(machine, fuel, _H)
-        try:
-            fn = entry
-            while fn is not None:
-                fn, st = fn(st)
-        except BaseException:
-            st = machine._cg_steps
-            raise
-        finally:
-            machine.steps += st
-    except DynamicError as exc:
-        return GoesWrong(trace, reason=str(exc))
-    if not machine.done:
-        return Diverges(trace)
-    assert machine.return_code is not None
-    return Converges(trace, machine.return_code)
+def bind_blocks(machine, fuel: int) -> dict:
+    """The program's generated blocks bound to ``machine`` for one run.
+
+    Keys are code addresses (``CODE_BASE + fid * FUNCTION_STRIDE + pc``)
+    of basic-block leaders; each value takes the completed step count and
+    returns ``(next block or None, steps)``.  Generates and compiles the
+    program on first use.
+    """
+    return codegen_program(machine.program).bind(machine, fuel, _H)

@@ -17,10 +17,18 @@ Decoding happens in two stages so the expensive part is shared:
 
 1. :func:`decode_program` lowers the instruction objects into
    machine-independent *factories* and caches the result per program
-   (``WeakKeyDictionary``, so the cache dies with the program);
+   (``WeakKeyDictionary``, so the cache dies with the program: nothing
+   in a cached value refers back to its key);
 2. :func:`bind_machine` instantiates the factories against one
    :class:`AsmMachine` (registers, memory, stack base), which is a single
    closure allocation per instruction.
+
+:func:`dispatch` is the one loop that runs these closures.  It serves
+every ASM run that executes decoded ops: the ``engine="decoded"`` run,
+the generated code's deopt (:mod:`repro.asm.codegen` falls back to it at
+fuel tails and wild returns), and the warm-up of the tiered default
+run, which :func:`run` hands over to generated code once the run has
+taken enough steps to pay for compiling it.
 
 The engine is observably equivalent to the legacy step loop by
 construction: same events, same outputs, same ESP watermark, same
@@ -32,7 +40,9 @@ program catalog, and the legacy loop stays available behind
 
 from __future__ import annotations
 
+import math
 import struct
+import time
 from typing import Callable, Optional
 from weakref import WeakKeyDictionary
 
@@ -147,10 +157,9 @@ class DecodedFunction:
 class DecodedProgram:
     """Per-instruction closure factories for one ``AsmProgram``."""
 
-    __slots__ = ("program", "functions")
+    __slots__ = ("functions",)
 
     def __init__(self, program: asm.AsmProgram) -> None:
-        self.program = program
         self.functions: dict[str, DecodedFunction] = {}
         for fid, (name, function) in enumerate(program.functions.items()):
             factories = [
@@ -958,33 +967,94 @@ def bind_machine(machine) -> None:
 
 
 # ---------------------------------------------------------------------------
-# The decoded run loop
+# The run loop
 # ---------------------------------------------------------------------------
 
 
-def run_decoded(machine, fuel: int) -> Behavior:
-    """Run a ``decoded=True`` machine to a behavior (legacy-equivalent)."""
-    trace: list = []
-    machine._trace = trace
-    steps = 0
+def dispatch(m, steps: int, fid: int, pc: int, fuel: int,
+             tier_up: float = math.inf):
+    """Run decoded ops from instruction ``pc`` of function ``fid``.
+
+    ``steps`` is the count already completed.  The loop stops at halt or
+    once ``fuel`` steps are done and returns ``(None, steps)``.  Once
+    ``tier_up`` steps are done, it single-steps to the next basic-block
+    leader and returns ``(block, steps)`` instead: that block's generated
+    function, which continues the run with the same machine state and
+    step count.  This return value is the protocol of a generated block,
+    which is why generated code deopts by calling this function.  An
+    exception records the completed steps (the raising one included) in
+    ``m._cg_steps`` before it propagates.
+    """
+    if m._bound is None:
+        bind_machine(m)
+    ops_by_id = m._bound[1]
+    ops = ops_by_id[fid]
+    limit = min(fuel, tier_up)
+    blocks = None
     try:
-        machine.start()
-        func_ops, _ops_by_id = machine._bound
-        ops = func_ops[machine.program.main]
-        pc = 0
-        try:
-            while steps < fuel:
+        while True:
+            while steps < limit:
                 steps += 1
                 npc = ops[pc](pc)
                 if npc is None:
-                    if machine.done:
-                        break
-                    ops = machine._ops
-                    pc = machine._pc
+                    if m.done:
+                        return None, steps
+                    ops = m._ops
+                    pc = m._pc
                 else:
                     pc = npc
+            if steps >= fuel:
+                return None, steps
+            if blocks is None:
+                from repro.asm import codegen
+                blocks = codegen.bind_blocks(m, fuel)
+                fid_of = {id(o): i for i, o in enumerate(ops_by_id)}
+            block = blocks.get(
+                CODE_BASE + fid_of[id(ops)] * FUNCTION_STRIDE + pc)
+            if block is not None:
+                return block, steps
+            limit = steps + 1
+    except BaseException:
+        m._cg_steps = steps
+        raise
+
+
+def run(machine, fuel: int, tier_up: float = math.inf) -> Behavior:
+    """Run a decoded machine to a behavior (legacy-equivalent).
+
+    The run starts on the decoded engine and, once ``tier_up`` steps are
+    done, continues in the program's generated code
+    (:mod:`repro.asm.codegen`) from the next basic-block leader.
+    ``math.inf`` never leaves the decoded engine (``engine="decoded"``);
+    ``0`` runs generated code from the first step (``engine="codegen"``)
+    and binds the decoded engine only if that code deopts.
+    """
+    trace: list = []
+    machine._trace = trace
+    machine._cg_steps = 0
+    st = 0
+    try:
+        machine.start()
+        fid = machine.function_ids[machine.program.main]
+        try:
+            if tier_up:
+                block, st = dispatch(machine, 0, fid, 0, fuel, tier_up)
+            else:
+                from repro.asm import codegen
+                block = codegen.bind_blocks(machine, fuel)[
+                    CODE_BASE + fid * FUNCTION_STRIDE]
+            if block is not None:
+                machine.tier_up_at = st
+                machine._cg_entered = time.perf_counter()
+                while block is not None:
+                    block, st = block(st)
+        except BaseException:
+            st = machine._cg_steps
+            raise
         finally:
-            machine.steps += steps
+            machine.steps += st
+            if machine.tier_up_at is not None and machine._cg_left is None:
+                machine._cg_left = (st, time.perf_counter())
     except DynamicError as exc:
         return GoesWrong(trace, reason=str(exc))
     if not machine.done:

@@ -23,6 +23,7 @@ allocation or call) that would drop below the stack base raises
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 from repro import ints, obs
@@ -49,11 +50,15 @@ DEFAULT_FUEL = 50_000_000
 #: every call site.
 DEFAULT_DECODED = True
 
-#: The tier used when decoding is enabled at all (``DEFAULT_DECODED`` is
-#: the kill switch back to the legacy loop): ``"codegen"`` compiles each
-#: program to specialized Python (:mod:`repro.asm.codegen`); ``"decoded"``
-#: is the threaded-code interpreter kept as a differential oracle.
-DEFAULT_ENGINE = "codegen"
+#: A run given no engine is tiered: it starts on the decoded engine and
+#: enters the program's generated code (:mod:`repro.asm.codegen`) after
+#: this many steps per ASM instruction in the program, or at once when
+#: the program is already compiled.  Generating and compiling costs as
+#: much as 120-450 decoded steps per instruction lose to generated code,
+#: so a run that ends below this budget never pays for ``compile()``,
+#: and one that goes past it loses less than one compile to the warm-up
+#: (the measured crossover is in docs/PERFORMANCE.md).
+TIER_UP_STEPS_PER_INSTR = 100
 
 _INT_BINOPS = {
     "add": ints.add, "sub": ints.sub, "mul": ints.mul,
@@ -88,8 +93,10 @@ class AsmMachine:
         from repro import engines
         self.program = program
         self.output = output
-        engine = engines.resolve(DEFAULT_DECODED, DEFAULT_ENGINE,
-                                 decoded, engine)
+        #: Whether a run may move from the decoded engine into generated
+        #: code part-way: only when the caller chose no engine.
+        self.tiered = engine is None and decoded is None and DEFAULT_DECODED
+        engine = engines.resolve(DEFAULT_DECODED, "decoded", decoded, engine)
         self.engine = engine
         self.decoded = engine != "legacy"
         decoded = self.decoded
@@ -122,8 +129,7 @@ class AsmMachine:
         # a dict-like name view so ``machine.iregs["eax"]`` keeps working);
         # the legacy engine keeps the original string-keyed dicts.
         if decoded:
-            from repro.asm.decode import (FREG_INDEX, IREG_INDEX,
-                                          RegisterFile, bind_machine)
+            from repro.asm.decode import FREG_INDEX, IREG_INDEX, RegisterFile
             self.iregs = RegisterFile(IREG_INDEX, 0)
             self.fregs = RegisterFile(FREG_INDEX, 0.0)
         else:
@@ -140,16 +146,21 @@ class AsmMachine:
         self.steps = 0
 
         # Decoded-engine state: bound per-instruction closures plus the
-        # (ops, pc) hand-off cells used at call/return boundaries.  The
-        # codegen engine binds lazily — only if it has to deopt into the
-        # decoded engine (fuel tails, wild return addresses).
+        # (ops, pc) hand-off cells used at call/return boundaries, bound
+        # on the first decoded step (a run that starts in generated code
+        # binds them only if it deopts: fuel tails, wild return addresses).
         self._ops: Optional[list] = None
         self._pc = 0
         self._trace: list = []
         self._bound = None
         self._cg_steps = 0
-        if engine == "decoded":
-            bind_machine(self)
+        #: The step at which the run entered generated code (0 for
+        #: ``engine="codegen"``); None while it has run only decoded ops.
+        self.tier_up_at: Optional[int] = None
+        # perf_counter() at that step, and (step, perf_counter()) when
+        # the run left generated code: a deopt or the end of the run.
+        self._cg_entered = 0.0
+        self._cg_left: Optional[tuple[int, float]] = None
 
     # -- startup --------------------------------------------------------------
 
@@ -454,7 +465,8 @@ def run_program(program: asm.AsmProgram,
 
     ``engine`` selects the tier (``"legacy"``/``"decoded"``/``"codegen"``;
     None defers to ``decoded`` and then the module defaults); ``decoded``
-    is the older boolean selector, kept for existing call sites.
+    is the older boolean selector, kept for existing call sites.  With
+    neither, the run is tiered (:data:`TIER_UP_STEPS_PER_INSTR`).
     """
     machine = AsmMachine(program, stack_bytes=stack_bytes, output=output,
                          decoded=decoded, engine=engine)
@@ -468,24 +480,45 @@ def run_program(program: asm.AsmProgram,
         obs.add("interp.asm.steps", machine.steps)
         obs.add("interp.asm.seconds", sp.dur)
         obs.add("interp.asm.runs")
-        if machine.engine == "codegen":
-            obs.add("interp.codegen.steps", machine.steps)
-            obs.add("interp.codegen.seconds", sp.dur)
+        if machine.tier_up_at is not None:
+            sp.set(tier_up_at=machine.tier_up_at)
+            if machine.tiered:
+                obs.add("interp.asm.tier_ups")
+            left_at, left_clock = machine._cg_left
+            obs.add("interp.codegen.steps", left_at - machine.tier_up_at)
+            obs.add("interp.codegen.seconds",
+                    left_clock - machine._cg_entered)
             obs.add("interp.codegen.runs")
         return behavior, machine
     return _execute(machine, fuel), machine
 
 
+def _tier_up_budget(program: asm.AsmProgram) -> int:
+    """Decoded steps a tiered run takes before it enters generated code.
+
+    Zero when the program's code object is already compiled: the run has
+    nothing left to pay for.
+    """
+    from repro.asm.codegen import cached_program
+
+    if cached_program(program) is not None:
+        return 0
+    return TIER_UP_STEPS_PER_INSTR * sum(
+        len(function.body) for function in program.functions.values())
+
+
 def _execute(machine: AsmMachine, fuel: int) -> Behavior:
     """Run ``machine`` to a behavior on its selected engine."""
-    if machine.engine == "codegen":
-        from repro.asm.codegen import run_codegen
-
-        return run_codegen(machine, fuel=fuel)
     if machine.decoded:
-        from repro.asm.decode import run_decoded
+        from repro.asm.decode import run
 
-        return run_decoded(machine, fuel=fuel)
+        if machine.engine == "codegen":
+            tier_up = 0
+        elif machine.tiered:
+            tier_up = _tier_up_budget(machine.program)
+        else:
+            tier_up = math.inf
+        return run(machine, fuel, tier_up)
     trace: list[Event] = []
     try:
         machine.start()

@@ -15,7 +15,9 @@ Every execution entry point accepts two selectors:
 When neither is passed the module defaults decide: ``DEFAULT_DECODED``
 (the old kill switch — ``False`` forces the legacy loop everywhere,
 which ``bench_interp``/``bench_campaign`` rely on) and
-``DEFAULT_ENGINE`` (the tier used when decoding is on at all).  The
+``DEFAULT_ENGINE`` (the tier used when decoding is on at all).  ASMsz
+has no ``DEFAULT_ENGINE``: its default run starts on the decoded engine
+and tiers up into codegen part-way (``repro.asm.machine``).  The
 defaults live in each language module so monkeypatching
 ``clight.semantics.DEFAULT_DECODED`` keeps its established meaning;
 this module only holds the shared resolution rule and the

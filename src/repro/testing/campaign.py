@@ -345,8 +345,10 @@ def run_campaign(config: CampaignConfig,
                 handle.write(header + source)
             repro_files[verdict.seed] = path
             # A differential failure implicating the codegen tier is
-            # debugged from the exact Python it executed, so dump the
-            # generated engine source next to the .c (CI uploads both).
+            # debugged from the Python that tier generates for this
+            # program (a default run may have finished on the decoded
+            # engine without executing it), so dump that source next to
+            # the .c (CI uploads both).
             try:
                 from repro.asm.codegen import codegen_source
                 from repro.driver import compile_c

@@ -9,14 +9,23 @@ constant folding make this the tier with the most room for silent
 divergence, so the sweep covers the full catalog, undersized stacks,
 generated seeds at every ablation, and the fuel edge the trampoline's
 unrolled accounting has to get exactly right.
+
+The default run (no engine given) is tiered: it starts on the decoded
+engine and enters generated code part-way.  The tier-up suite at the
+end holds it to `engine="decoded"` with the switch forced at every
+early step, at the real budget, and never.
 """
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro import engines
+from repro.asm import ast as asm_ast
 from repro.asm import codegen
+from repro.asm import machine as machine_mod
 from repro.asm.machine import AsmMachine, run_program
 from repro.driver import compile_c
 from repro.programs.catalog import ALL_RUNNABLE
@@ -89,9 +98,23 @@ def test_stack_overflow_behavior_agrees(path):
             assert "stack overflow" in decoded[3]
 
 
-@pytest.mark.parametrize("seed", range(0, 40, 5))
-def test_generated_seed_agrees(seed):
-    source = generate_program(seed)
+#: Generated seeds: plain, and with recursion and function pointers.  The
+#: campaign's programs run too few steps per instruction to tier up, so
+#: this sweep is the codegen tier's coverage on generated programs.
+SEEDS = ([(seed, {}) for seed in range(0, 40, 5)]
+         + [(seed, {"recursion": True, "funcptr": True})
+            for seed in range(0, 40, 5)])
+
+
+def _seed_id(case):
+    seed, kwargs = case
+    return f"{seed}-recfp" if kwargs else str(seed)
+
+
+@pytest.mark.parametrize("case", SEEDS, ids=_seed_id)
+def test_generated_seed_agrees(case):
+    seed, kwargs = case
+    source = generate_program(seed, **kwargs)
     for name, options in ABLATIONS.items():
         compilation = compile_c(source, filename=f"seed{seed}.c",
                                 options=options)
@@ -151,11 +174,17 @@ def test_engine_resolution():
 
 
 def test_engine_attribute_on_machine():
+    """No engine given: the decoded engine, tiering up; an explicit
+    engine (or the ``decoded=`` bool) never tiers."""
     compilation = compile_c(load_source("paper_example.c"),
                             filename="paper_example.c")
-    assert AsmMachine(compilation.asm).engine == "codegen"
+    default = AsmMachine(compilation.asm)
+    assert (default.engine, default.tiered) == ("decoded", True)
     assert AsmMachine(compilation.asm, decoded=False).engine == "legacy"
-    assert AsmMachine(compilation.asm, engine="decoded").engine == "decoded"
+    for engine in ("decoded", "codegen"):
+        machine = AsmMachine(compilation.asm, engine=engine)
+        assert (machine.engine, machine.tiered) == (engine, False)
+    assert not AsmMachine(compilation.asm, decoded=True).tiered
 
 
 def test_install_source_skips_generation():
@@ -202,3 +231,129 @@ def test_install_source_rejects_unloadable_text():
     with pytest.raises(ValueError):
         codegen.install_source(fresh.asm, "bind = 7\n")  # not callable
     assert codegen.cached_program(fresh.asm) is None
+
+
+# ---------------------------------------------------------------------------
+# The tiered default run
+# ---------------------------------------------------------------------------
+
+#: Tier-up points the suite forces (decoded steps before the switch),
+#: after one run at the real budget.
+FORCED_BUDGETS = (0, 1, 3, math.inf)
+
+
+def _run_default(asm, stack_bytes=1 << 20, fuel=FUEL):
+    output: list = []
+    behavior, machine = run_program(asm, stack_bytes=stack_bytes,
+                                    output=output, fuel=fuel)
+    return _behavior_fingerprint(behavior, machine, output), machine
+
+
+def _assert_tiered_agrees(asm, monkeypatch, **run):
+    """The default run matches ``engine="decoded"`` at the real budget
+    (``asm`` not compiled yet) and with the switch forced at each of
+    :data:`FORCED_BUDGETS`."""
+    decoded = _run_engine(asm, "decoded", **run)
+    assert _run_default(asm, **run)[0] == decoded, "real budget"
+    for forced in FORCED_BUDGETS:
+        with monkeypatch.context() as patch:
+            patch.setattr(machine_mod, "_tier_up_budget",
+                          lambda program: forced)
+            tiered, machine = _run_default(asm, **run)
+        assert tiered == decoded, f"tier-up forced at step {forced}"
+        if forced == 0 and machine.steps:
+            assert machine.tier_up_at == 0
+        elif forced == math.inf:
+            assert machine.tier_up_at is None
+    return decoded
+
+
+@pytest.mark.parametrize("path", ALL_RUNNABLE)
+def test_tiered_default_agrees_on_catalog(path, monkeypatch):
+    compilation = compile_c(load_source(path), filename=path)
+    assert _assert_tiered_agrees(compilation.asm, monkeypatch)[0] \
+        == "Converges"
+
+
+@pytest.mark.parametrize("path", ["paper_example.c", "mibench/dijkstra.c",
+                                  "recursive/fib.c", "certikos/proc.c"])
+def test_tiered_default_overflow_agrees(path, monkeypatch):
+    source = load_source(path)
+    needed = run_program(compile_c(source, filename=path).asm, fuel=FUEL,
+                         engine="decoded")[1].measured_stack_usage
+    for stack_bytes in (needed - 4, needed // 2, 8):
+        # A fresh compilation each time: the real budget is only taken
+        # while the program's code is not compiled yet.
+        compilation = compile_c(source, filename=path)
+        decoded = _assert_tiered_agrees(compilation.asm, monkeypatch,
+                                        stack_bytes=stack_bytes)
+        assert decoded[0] == "GoesWrong"
+
+
+@pytest.mark.parametrize("fuel", [0, 1, 7, 16, 17, 100, 10_000, 123_457])
+def test_tiered_default_fuel_edges_agree(fuel, monkeypatch):
+    compilation = compile_c(load_source("compcert/mandelbrot.c"),
+                            filename="compcert/mandelbrot.c")
+    decoded = _assert_tiered_agrees(compilation.asm, monkeypatch, fuel=fuel)
+    assert decoded[0] == "Diverges" and decoded[6] == fuel
+
+
+@pytest.mark.parametrize("case", SEEDS, ids=_seed_id)
+def test_tiered_default_agrees_on_seeds(case, monkeypatch):
+    seed, kwargs = case
+    source = generate_program(seed, **kwargs)
+    for name, options in ABLATIONS.items():
+        compilation = compile_c(source, filename=f"seed{seed}.c",
+                                options=options)
+        _assert_tiered_agrees(compilation.asm, monkeypatch)
+
+
+def test_long_run_tiers_up():
+    """At the real budget a long run really enters generated code, once
+    its warm-up is over; a short one never compiles."""
+    compilation = compile_c(load_source("compcert/mandelbrot.c"),
+                            filename="compcert/mandelbrot.c")
+    asm = compilation.asm
+    assert codegen.cached_program(asm) is None
+    instructions = sum(len(f.body) for f in asm.functions.values())
+    decoded = _run_engine(asm, "decoded")
+    tiered, machine = _run_default(asm)
+    assert tiered == decoded
+    warm_up = machine_mod.TIER_UP_STEPS_PER_INSTR * instructions
+    assert warm_up <= machine.tier_up_at < decoded[6]
+    assert codegen.cached_program(asm) is not None
+    # Compiled now, so the next run enters generated code at once.
+    again, machine = _run_default(asm)
+    assert again == decoded and machine.tier_up_at == 0
+
+    short = compile_c(load_source("certikos/proc.c"),
+                      filename="certikos/proc.c")
+    _fingerprint, machine = _run_default(short.asm)
+    assert machine.tier_up_at is None
+    assert codegen.cached_program(short.asm) is None
+
+
+def test_explicit_codegen_compiles_before_first_step():
+    """``engine="codegen"`` runs generated code from step 0 even on a
+    5-step program, which never reaches the tiered budget — the codegen
+    fault operators rely on it."""
+    program = asm_ast.AsmProgram(
+        [], {"main": asm_ast.AsmFunction("main", [
+            asm_ast.Pmovimm("eax", 5),
+            asm_ast.Pmovimm("ecx", 3),
+            asm_ast.Pbinop("add", "eax", "ecx"),
+            asm_ast.Pmovimm("ecx", 0),
+            asm_ast.Pret()], frame_size=0)},
+        externals=set(), main="main")
+    behavior, machine = run_program(program, fuel=1, engine="codegen")
+    assert codegen.cached_program(program) is not None
+    assert machine.tier_up_at == 0 and machine.steps == 1
+    assert type(behavior).__name__ == "Diverges"
+    behavior, machine = run_program(program, engine="codegen")
+    assert behavior.return_code == 8 and machine.steps == 5
+
+    fresh = asm_ast.AsmProgram([], dict(program.functions),
+                               externals=set(), main="main")
+    behavior, machine = run_program(fresh)
+    assert behavior.return_code == 8 and machine.tier_up_at is None
+    assert codegen.cached_program(fresh) is None

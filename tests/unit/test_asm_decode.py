@@ -9,10 +9,13 @@ what Theorem 1 is being tested against.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.asm.machine import AsmMachine, run_program
-from repro.driver import compile_c
+from repro.driver import compile_c, configure_frontend_cache
 from repro.events.trace import Converges, GoesWrong
 from repro.programs.catalog import ALL_RUNNABLE
 from repro.programs.loader import load_source
@@ -124,3 +127,25 @@ def test_legacy_step_works_on_decoded_machine():
             break
         machine.step()
     assert machine.steps == 100 or machine.done
+
+
+@pytest.mark.parametrize("engine, fuel", [("decoded", FUEL),
+                                          ("codegen", 7)],
+                         ids=["decoded", "codegen-deopt"])
+def test_decode_cache_dies_with_the_program(engine, fuel):
+    """The decode cache is weak: once the program is dropped, nothing it
+    cached keeps it alive.  A codegen run that deopts at a fuel tail
+    decodes the program too."""
+    configure_frontend_cache(False)
+    try:
+        compilation = compile_c(load_source("paper_example.c"),
+                                filename="paper_example.c")
+        _behavior, machine = run_program(compilation.asm, fuel=fuel,
+                                         engine=engine)
+        assert machine._bound is not None  # the decoded engine ran
+        program = weakref.ref(compilation.asm)
+        del compilation, machine
+        gc.collect()
+        assert program() is None
+    finally:
+        configure_frontend_cache(True)

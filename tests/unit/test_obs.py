@@ -231,3 +231,45 @@ class TestExportDocuments:
         assert document["derived"]["interp.asm.steps_per_s"] == 200.0
         with pytest.raises(ValueError):
             validate_metrics_document(dict(document, schema="nope"))
+
+
+class TestAsmTierTelemetry:
+    """``exec.asm`` records when a run entered generated code, and the
+    ``interp.codegen.*`` counters count only the work done there."""
+
+    @staticmethod
+    def _run(path, **run):
+        from repro.driver import compile_c
+        from repro.programs.loader import load_source
+
+        compilation = compile_c(load_source(path), filename=path)
+        obs.enable()
+        _behavior, machine = compilation.run(**run)
+        (span,) = [record for record in obs.span_records()
+                   if record["name"] == "exec.asm"]
+        return machine, span["attrs"], obs.snapshot()["counters"]
+
+    def test_long_default_run_tiers_up(self):
+        machine, attrs, counters = self._run("compcert/mandelbrot.c")
+        assert attrs["engine"] == "decoded"
+        assert attrs["tier_up_at"] == machine.tier_up_at > 0
+        assert counters["interp.asm.tier_ups"] == 1
+        assert counters["interp.codegen.runs"] == 1
+        assert counters["interp.codegen.steps"] \
+            == machine.steps - machine.tier_up_at
+        assert 0 < counters["interp.codegen.seconds"] \
+            < counters["interp.asm.seconds"]
+
+    def test_short_default_run_stays_decoded(self):
+        _machine, attrs, counters = self._run("certikos/proc.c")
+        assert attrs["engine"] == "decoded"
+        assert "tier_up_at" not in attrs
+        assert "interp.asm.tier_ups" not in counters
+        assert "interp.codegen.runs" not in counters
+
+    def test_codegen_counters_stop_at_a_deopt(self):
+        machine, attrs, counters = self._run(
+            "compcert/mandelbrot.c", engine="codegen", fuel=10_000)
+        assert attrs["engine"] == "codegen" and attrs["tier_up_at"] == 0
+        assert "interp.asm.tier_ups" not in counters
+        assert 0 < counters["interp.codegen.steps"] < machine.steps == 10_000
