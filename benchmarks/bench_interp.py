@@ -34,7 +34,6 @@ import time
 sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
-from repro.asm import machine as machine_mod
 from repro.asm.machine import run_program
 from repro import driver
 from repro.driver import compile_c, compile_clight, compile_frontend
@@ -172,10 +171,17 @@ def _campaign(seeds: range) -> float:
 
 
 def bench_campaign(seeds: range = range(8)) -> dict:
-    # "Old" configuration: legacy step loop, reference dataflow solver,
-    # no bounds memoization, and a frontend re-run per ablation point
-    # (what compile_c-per-ablation did before the shared frontend).
-    machine_mod.DEFAULT_DECODED = False
+    # "Old" configuration: legacy ASM step loop, reference dataflow
+    # solver, no bounds memoization, and a frontend re-run per ablation
+    # point (what compile_c-per-ablation did before the shared frontend).
+    # Every ASM run goes through Compilation.run; the override wins over
+    # an engine the caller passes (the tightness probes pass None).
+    saved_run = driver.Compilation.run
+
+    def legacy_run(self, *args, **kwargs):
+        return saved_run(self, *args, **{**kwargs, "engine": "legacy"})
+
+    driver.Compilation.run = legacy_run
     constprop.FUSED_MERGE = False
     bexpr.configure_memoization(False)
     driver.configure_frontend_cache(False)
@@ -190,7 +196,7 @@ def bench_campaign(seeds: range = range(8)) -> dict:
     finally:
         oracles.compile_frontend = saved_frontend
         oracles.compile_clight = saved_backend
-        machine_mod.DEFAULT_DECODED = True
+        driver.Compilation.run = saved_run
         constprop.FUSED_MERGE = True
         bexpr.configure_memoization(True)
         driver.configure_frontend_cache(True)

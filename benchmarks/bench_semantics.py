@@ -1,8 +1,9 @@
-"""Whole-tower semantics benchmarks: all three execution tiers.
+"""Whole-tower semantics benchmarks: decoded vs. legacy engines.
 
-Measures steps/sec of the per-program generated-Python (codegen)
-drivers and the pre-decoded threaded-code engines against the legacy
-``step()`` machines for each semantic level the tower interprets:
+Measures steps/sec of the pre-decoded threaded-code engines against the
+legacy ``step()`` machines for each semantic level the tower interprets
+(these levels have no codegen engine; ``bench_codegen.py`` measures
+ASMsz's):
 
 * ``clight``: the full runnable catalog, interleaved best-of-N per
   engine, with the geometric-mean speedup (the acceptance number for
@@ -83,31 +84,25 @@ def _bench_level(level, programs, repeats):
     for path in programs:
         compilation = compile_c(load_source(path), filename=path)
         program = getattr(compilation, attr)
-        # Interleave the engines so cache/frequency drift hits all three.
-        best_legacy = best_decoded = best_codegen = 0.0
+        # Interleave the engines so cache/frequency drift hits both.
+        best_legacy = best_decoded = 0.0
         steps = 0
         for _ in range(repeats):
             legacy, steps = _steps_per_s(sem, program, fuel, "legacy")
             decoded, _ = _steps_per_s(sem, program, fuel, "decoded")
-            codegen, _ = _steps_per_s(sem, program, fuel, "codegen")
             best_legacy = max(best_legacy, legacy)
             best_decoded = max(best_decoded, decoded)
-            best_codegen = max(best_codegen, codegen)
         speedup = best_decoded / best_legacy
         ratios.append(speedup)
         out[path] = {
             "steps": steps,
             "legacy_steps_per_s": round(best_legacy),
             "decoded_steps_per_s": round(best_decoded),
-            "codegen_steps_per_s": round(best_codegen),
             "speedup": round(speedup, 2),
-            "codegen_vs_decoded": round(best_codegen / best_decoded, 2),
-            "codegen_vs_legacy": round(best_codegen / best_legacy, 2),
         }
         print(f"  {path:28s} {steps:>9d} steps  "
               f"legacy {best_legacy:>10,.0f}/s  "
-              f"decoded {best_decoded:>10,.0f}/s  "
-              f"codegen {best_codegen:>10,.0f}/s  {speedup:.2f}x")
+              f"decoded {best_decoded:>10,.0f}/s  {speedup:.2f}x")
     geomean = math.exp(sum(math.log(r) for r in ratios) / len(ratios))
     out["geomean_speedup"] = round(geomean, 2)
     print(f"  {level} geomean speedup: {geomean:.2f}x "

@@ -108,9 +108,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "profile", help="print per-stage timings (frontend, backend, "
                         "analysis, execution)"))
     profile.add_argument("--fuel", type=int, default=200_000_000)
-    profile.add_argument("--legacy", action="store_true",
-                         help="accepted for compatibility; all three "
-                              "tiers are always timed")
 
     certify = add_common(sub.add_parser(
         "certify", help="emit a re-checkable proof certificate (JSON)"))
@@ -384,11 +381,12 @@ def cmd_profile(args) -> int:
 
     There is no second timing path: ``profile`` enables observability,
     runs the pipeline once, and prints the span tree the instrumented
-    layers recorded (compile passes, analysis, checking, one execution
-    per engine, plus the per-language streamed interpreters the deep
-    campaign mode uses).
+    layers recorded (compile passes, analysis, checking, one ASMsz
+    execution per engine, plus the per-language streamed interpreters
+    the deep campaign mode uses, on each of their two engines).
     """
     from repro.clight import semantics as clight_sem
+    from repro.engines import ASM_ENGINES, SEMANTICS_ENGINES
     from repro.events.stream import null_sink
     from repro.mach import semantics as mach_sem
     from repro.rtl import semantics as rtl_sem
@@ -401,9 +399,8 @@ def cmd_profile(args) -> int:
     sz = analysis.bound_bytes(compilation.asm.main, compilation.metric)
     analysis.check()
 
-    tiers = ["legacy", "decoded", "codegen"]
-    for tier in tiers:
-        compilation.run(stack_bytes=sz + 4, fuel=args.fuel, engine=tier)
+    for engine in ASM_ENGINES:
+        compilation.run(stack_bytes=sz + 4, fuel=args.fuel, engine=engine)
 
     # Per-language interpreter throughput: the same tower levels the
     # deep campaign mode executes, on their streaming entry points.
@@ -411,9 +408,9 @@ def cmd_profile(args) -> int:
               ("rtl", rtl_sem, compilation.rtl),
               ("mach", mach_sem, compilation.mach)]
     for _level, sem, program in levels:
-        for tier in tiers:
+        for engine in SEMANTICS_ENGINES:
             sem.run_streamed(program, null_sink, fuel=args.fuel,
-                             engine=tier)
+                             engine=engine)
 
     print(f"# stack bound for {compilation.asm.main}: {sz} bytes")
     records = obs.span_records()[mark:]
@@ -423,11 +420,12 @@ def cmd_profile(args) -> int:
 
 
 def _print_tier_table(records: list[dict]) -> None:
-    """Per-language throughput of the three tiers, from the span tree.
+    """Per-language throughput of each engine, from the span tree.
 
     Every ``exec.*`` span carries ``engine`` and ``steps`` attrs; the
     table is a pure rendering of those records — there is no second
-    timing path.
+    timing path.  Only ASMsz has a codegen engine, so the other rows
+    show ``—`` in that column.
     """
     rates: dict[str, dict[str, float]] = {}
     for record in records:

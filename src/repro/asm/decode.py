@@ -35,7 +35,7 @@ construction: same events, same outputs, same ESP watermark, same
 overflow point, and byte-identical error messages — the differential
 suite in ``tests/unit/test_asm_decode.py`` checks this over the whole
 program catalog, and the legacy loop stays available behind
-``AsmMachine(..., decoded=False)`` as the oracle.
+``AsmMachine(..., engine="legacy")`` as the oracle.
 """
 
 from __future__ import annotations

@@ -44,12 +44,6 @@ DEFAULT_STACK_BYTES = 1 << 20
 DEFAULT_ARENA_BYTES = 1 << 20
 DEFAULT_FUEL = 50_000_000
 
-#: Engine selected when ``AsmMachine(..., decoded=None)``: the pre-decoded
-#: threaded-code interpreter (:mod:`repro.asm.decode`).  Benchmarks flip
-#: this module-wide to measure the legacy step loop without re-plumbing
-#: every call site.
-DEFAULT_DECODED = True
-
 #: A run given no engine is tiered: it starts on the decoded engine and
 #: enters the program's generated code (:mod:`repro.asm.codegen`) after
 #: this many steps per ASM instruction in the program, or at once when
@@ -88,18 +82,14 @@ class AsmMachine:
                  stack_bytes: int = DEFAULT_STACK_BYTES,
                  arena_bytes: int = DEFAULT_ARENA_BYTES,
                  output: Optional[list] = None,
-                 decoded: Optional[bool] = None,
                  engine: Optional[str] = None) -> None:
         from repro import engines
         self.program = program
         self.output = output
         #: Whether a run may move from the decoded engine into generated
         #: code part-way: only when the caller chose no engine.
-        self.tiered = engine is None and decoded is None and DEFAULT_DECODED
-        engine = engines.resolve(DEFAULT_DECODED, "decoded", decoded, engine)
-        self.engine = engine
-        self.decoded = engine != "legacy"
-        decoded = self.decoded
+        self.tiered = engine is None
+        self.engine = engines.check("ASMsz", engine, engines.ASM_ENGINES)
 
         # Global layout.
         self.global_addr: dict[str, int] = {}
@@ -128,7 +118,7 @@ class AsmMachine:
         # Register file.  The decoded engine uses index-based lists (with
         # a dict-like name view so ``machine.iregs["eax"]`` keeps working);
         # the legacy engine keeps the original string-keyed dicts.
-        if decoded:
+        if self.engine != "legacy":
             from repro.asm.decode import FREG_INDEX, IREG_INDEX, RegisterFile
             self.iregs = RegisterFile(IREG_INDEX, 0)
             self.fregs = RegisterFile(FREG_INDEX, 0.0)
@@ -458,18 +448,15 @@ def run_program(program: asm.AsmProgram,
                 stack_bytes: int = DEFAULT_STACK_BYTES,
                 fuel: int = DEFAULT_FUEL,
                 output: Optional[list] = None,
-                decoded: Optional[bool] = None,
                 engine: Optional[str] = None
                 ) -> tuple[Behavior, AsmMachine]:
     """Run on ASMsz; returns the behavior and the machine (for the monitor).
 
-    ``engine`` selects the tier (``"legacy"``/``"decoded"``/``"codegen"``;
-    None defers to ``decoded`` and then the module defaults); ``decoded``
-    is the older boolean selector, kept for existing call sites.  With
-    neither, the run is tiered (:data:`TIER_UP_STEPS_PER_INSTR`).
+    ``engine`` selects the tier (``"legacy"``/``"decoded"``/``"codegen"``);
+    None runs tiered (:data:`TIER_UP_STEPS_PER_INSTR`).
     """
     machine = AsmMachine(program, stack_bytes=stack_bytes, output=output,
-                         decoded=decoded, engine=engine)
+                         engine=engine)
     if obs.enabled:
         # One span per run, wrapped around the whole loop: the hot path
         # itself carries zero added per-step work, enabled or not.
@@ -509,7 +496,7 @@ def _tier_up_budget(program: asm.AsmProgram) -> int:
 
 def _execute(machine: AsmMachine, fuel: int) -> Behavior:
     """Run ``machine`` to a behavior on its selected engine."""
-    if machine.decoded:
+    if machine.engine != "legacy":
         from repro.asm.decode import run
 
         if machine.engine == "codegen":

@@ -126,17 +126,15 @@ class Compilation:
     def run(self, stack_bytes: int = 1 << 20,
             output: Optional[list] = None,
             fuel: int = DEFAULT_FUEL,
-            decoded: Optional[bool] = None,
             engine: Optional[str] = None) -> tuple[Behavior, AsmMachine]:
         """Execute the compiled program on ASMsz.
 
         ``engine`` selects the execution tier
-        (``"legacy"``/``"decoded"``/``"codegen"``); ``decoded`` is the
-        older boolean selector — both default to the module defaults in
-        :mod:`repro.asm.machine`.
+        (``"legacy"``/``"decoded"``/``"codegen"``); None runs the tiered
+        default of :mod:`repro.asm.machine`.
         """
         return run_asm(self.asm, stack_bytes=stack_bytes, output=output,
-                       fuel=fuel, decoded=decoded, engine=engine)
+                       fuel=fuel, engine=engine)
 
 
 def compile_clight(clight: cl.Program,

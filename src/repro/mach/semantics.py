@@ -27,17 +27,6 @@ from repro.runtime import call_external
 
 DEFAULT_FUEL = 20_000_000
 
-#: Engine selector: the pre-decoded threaded-code interpreter in
-#: :mod:`repro.mach.decode` by default; ``decoded=False`` re-runs on the
-#: original ``step()`` machine below (kept as the differential oracle).
-DEFAULT_DECODED = True
-
-#: Tier used when decoding is enabled at all: ``"codegen"`` (the
-#: per-program specialized driver) or ``"decoded"``.  Per-call
-#: ``engine=`` arguments override; ``DEFAULT_DECODED = False`` still
-#: forces the legacy loop everywhere (the old kill switch).
-DEFAULT_ENGINE = "codegen"
-
 
 class _Activation:
     __slots__ = ("function", "pc", "frame", "caller_frame")
@@ -205,17 +194,17 @@ class MachMachine:
 
 def run_streamed(program: mach.MachProgram, sink: Consumer,
                  fuel: int = DEFAULT_FUEL, output: Optional[list] = None,
-                 decoded: Optional[bool] = None,
                  engine: Optional[str] = None) -> StreamOutcome:
     """Run ``program``, pushing every event into ``sink`` as emitted.
 
-    ``decoded`` selects the engine (None = :data:`DEFAULT_DECODED`);
-    both engines produce the same events, outcome classification and
-    step counts by construction.  Like RTL, the legacy Mach loop treats
-    ``FuelExhaustedError`` like any other ``DynamicError``.
+    ``engine`` is ``"decoded"`` (the default, :mod:`repro.mach.decode`)
+    or ``"legacy"`` (the original ``step()`` machine below, the
+    differential oracle); both produce the same events, outcome
+    classification and step counts by construction.  Like RTL, the
+    legacy Mach loop treats ``FuelExhaustedError`` like any other
+    ``DynamicError``.
     """
-    engine = engines.resolve(DEFAULT_DECODED, DEFAULT_ENGINE,
-                             decoded, engine)
+    engine = engines.check("Mach", engine, engines.SEMANTICS_ENGINES)
     if obs.enabled:
         # Wrapped at the entry point only — the step loops stay untouched.
         with obs.span("exec.mach", engine=engine) as sp:
@@ -225,19 +214,12 @@ def run_streamed(program: mach.MachProgram, sink: Consumer,
         obs.add("interp.mach.steps", outcome.steps)
         obs.add("interp.mach.seconds", sp.dur)
         obs.add("interp.mach.runs")
-        if engine == "codegen":
-            obs.add("interp.codegen.steps", outcome.steps)
-            obs.add("interp.codegen.seconds", sp.dur)
-            obs.add("interp.codegen.runs")
         return outcome
     return _run_streamed(program, sink, fuel, output, engine)
 
 
 def _run_streamed(program: mach.MachProgram, sink: Consumer, fuel: int,
                   output: Optional[list], engine: str) -> StreamOutcome:
-    if engine == "codegen":
-        from repro.mach import codegen
-        return codegen.run_streamed(program, sink, fuel, output=output)
     if engine == "decoded":
         from repro.mach import decode
         return decode.run_streamed(program, sink, fuel, output=output)
@@ -273,9 +255,8 @@ def _run_streamed(program: mach.MachProgram, sink: Consumer, fuel: int,
 
 def run_program(program: mach.MachProgram, fuel: int = DEFAULT_FUEL,
                 output: Optional[list] = None,
-                decoded: Optional[bool] = None,
                 engine: Optional[str] = None) -> Behavior:
     trace: list[Event] = []
     outcome = run_streamed(program, trace.append, fuel, output=output,
-                           decoded=decoded, engine=engine)
+                           engine=engine)
     return outcome.to_behavior(trace)

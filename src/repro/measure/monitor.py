@@ -36,11 +36,10 @@ class MeasuredRun:
 def measure_compilation(compilation: Compilation,
                         stack_bytes: int = 1 << 20,
                         fuel: int = DEFAULT_FUEL,
-                        decoded: Optional[bool] = None,
                         engine: Optional[str] = None) -> MeasuredRun:
     """Run the compiled program under the monitor.
 
-    ``decoded``/``engine`` pick the ASMsz tier (None = the default);
+    ``engine`` picks the ASMsz tier (None = the tiered default);
     the measured watermark must not depend on it — all engines share
     the monitor, and ``tests/unit/test_monitor_watermark.py`` holds
     them to identical accounting.
@@ -48,7 +47,7 @@ def measure_compilation(compilation: Compilation,
     output: list = []
     behavior, machine = compilation.run(stack_bytes=stack_bytes,
                                         output=output, fuel=fuel,
-                                        decoded=decoded, engine=engine)
+                                        engine=engine)
     return MeasuredRun(behavior, machine.measured_stack_usage,
                        getattr(behavior, "return_code", None), output)
 
@@ -56,12 +55,11 @@ def measure_compilation(compilation: Compilation,
 def measure_c_program(source: str, macros: Optional[dict[str, str]] = None,
                       options: Optional[CompilerOptions] = None,
                       stack_bytes: int = 1 << 20,
-                      decoded: Optional[bool] = None,
                       engine: Optional[str] = None) -> MeasuredRun:
     """Compile a C program and measure one execution."""
     compilation = compile_c(source, macros=macros, options=options)
     return measure_compilation(compilation, stack_bytes=stack_bytes,
-                               decoded=decoded, engine=engine)
+                               engine=engine)
 
 
 class TightnessProbe:

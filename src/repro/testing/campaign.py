@@ -137,9 +137,6 @@ def pool_warmup() -> None:
         pass  # never let warm-up kill a worker; the seeds still run
 
 
-_pool_warmup = pool_warmup  # the historical private name, kept callable
-
-
 def chunksize_for(n_work: int, jobs: int) -> int:
     """Seeds per IPC round-trip for an ``imap_unordered`` campaign.
 
@@ -289,7 +286,7 @@ def run_campaign(config: CampaignConfig,
                 break
     else:
         chunksize = chunksize_for(len(work), config.jobs)
-        with Pool(processes=config.jobs, initializer=_pool_warmup) as pool:
+        with Pool(processes=config.jobs, initializer=pool_warmup) as pool:
             for verdict in pool.imap_unordered(_check_one, work,
                                                chunksize=chunksize):
                 verdicts.append(verdict)

@@ -72,15 +72,6 @@ ALL_METRICS_TRACE_CAP = 600
 
 CLIGHT_FUEL = 3_000_000
 INTERP_FUEL = 30_000_000
-
-#: Deep mode picks the interpreter engine per seed: the pre-decoded
-#: RTL/Mach engines pay a per-program decode cost (a few ms) that only
-#: amortizes on runs past roughly this many steps.  The Clight step
-#: count — known before the deep runs, and empirically the same order
-#: of magnitude as the RTL/Mach step counts — selects the engine.
-#: Either engine yields identical verdicts by construction
-#: (tests/unit/test_sem_decode.py), so this is purely a speed knob.
-DEEP_DECODE_MIN_STEPS = 10_000
 ASM_FUEL = 100_000_000
 
 #: The ablation points of the campaign, by name (order = check order).
@@ -235,9 +226,7 @@ def _check_seed(verdict: SeedVerdict, names: list[str], metric_name: str,
     start = _tick(timings, "compile", start)
 
     # One Clight execution serves every ablation point: the front end does
-    # not depend on the backend pass configuration.  Running through the
-    # streaming entry point also yields the step count, which sizes the
-    # deep mode's engine choice below.
+    # not depend on the backend pass configuration.
     first = compilations[names[0]]
     clight_output: list = []
     clight_trace: list = []
@@ -264,13 +253,11 @@ def _check_seed(verdict: SeedVerdict, names: list[str], metric_name: str,
     analysis = StackAnalyzer(first.clight).analyze()
     start = _tick(timings, "analyze", start)
 
-    deep_decoded = clight_outcome.steps >= DEEP_DECODE_MIN_STEPS
     for index, name in enumerate(names):
         with obs.span("campaign.ablation", ablation=name):
             _check_ablation(verdict, name, compilations[name], b_clight,
                             clight_output, analysis, metric_name, plant,
-                            probes=probes and index == 0, deep=deep,
-                            deep_decoded=deep_decoded)
+                            probes=probes and index == 0, deep=deep)
         verdict.configs_checked += 1
 
     start = time.perf_counter()
@@ -287,8 +274,7 @@ def _check_seed(verdict: SeedVerdict, names: list[str], metric_name: str,
 def _check_ablation(verdict: SeedVerdict, name: str, compilation: Compilation,
                     b_clight, clight_output: list, analysis,
                     metric_name: str, plant: Optional[str],
-                    probes: bool, deep: bool,
-                    deep_decoded: bool = True) -> None:
+                    probes: bool, deep: bool) -> None:
     timings = verdict.timings
 
     start = time.perf_counter()
@@ -357,15 +343,13 @@ def _check_ablation(verdict: SeedVerdict, name: str, compilation: Compilation,
             collected: list = []
             if need_collect:
                 consumers.append(collected.append)
-            outcome = stream(program, Tee(*consumers), fuel=INTERP_FUEL,
-                             engine=None if deep_decoded else "legacy")
+            outcome = stream(program, Tee(*consumers), fuel=INTERP_FUEL)
             refinement_ok = (outcome.converged and pruned.matched()
                              and outcome.return_code == b_clight.return_code)
             if not refinement_ok:
                 trace: list = []
-                behavior = stream(program, trace.append, fuel=INTERP_FUEL,
-                                  engine=None if deep_decoded
-                                  else "legacy").to_behavior(trace)
+                behavior = stream(program, trace.append,
+                                  fuel=INTERP_FUEL).to_behavior(trace)
                 try:
                     check_refinement(behavior, b_clight)
                 except RefinementFailure as failure:

@@ -22,14 +22,17 @@ import math
 
 import pytest
 
-from repro import engines
 from repro.asm import ast as asm_ast
 from repro.asm import codegen
 from repro.asm import machine as machine_mod
 from repro.asm.machine import AsmMachine, run_program
+from repro.clight import semantics as clight_sem
 from repro.driver import compile_c
+from repro.events.stream import null_sink
+from repro.mach import semantics as mach_sem
 from repro.programs.catalog import ALL_RUNNABLE
 from repro.programs.loader import load_source
+from repro.rtl import semantics as rtl_sem
 from repro.testing.oracles import ABLATIONS
 from repro.testing.progen import generate_program
 
@@ -159,32 +162,31 @@ def test_codegen_source_is_python():
     assert "def B" in source
 
 
-def test_engine_resolution():
-    """engine= wins over decoded=; defaults follow the two module knobs."""
-    assert engines.resolve(True, "codegen", None, None) == "codegen"
-    assert engines.resolve(True, "codegen", None, "legacy") == "legacy"
-    assert engines.resolve(True, "codegen", False, None) == "legacy"
-    assert engines.resolve(True, "codegen", True, None) == "decoded"
-    assert engines.resolve(True, "codegen", False, "codegen") == "codegen"
-    # DEFAULT_DECODED = False is the established kill switch: it forces
-    # the legacy loop unless a call site explicitly opts back in.
-    assert engines.resolve(False, "codegen", None, None) == "legacy"
+def test_engine_selector_rejects_unknown_engines():
+    """Only ASMsz has a codegen engine: Clight, RTL and Mach reject it,
+    and every level rejects a name it does not know."""
+    compilation = compile_c(load_source("paper_example.c"),
+                            filename="paper_example.c")
+    for sem, program in ((clight_sem, compilation.clight),
+                         (rtl_sem, compilation.rtl),
+                         (mach_sem, compilation.mach)):
+        for engine in ("codegen", "jit"):
+            with pytest.raises(ValueError):
+                sem.run_streamed(program, null_sink, engine=engine)
     with pytest.raises(ValueError):
-        engines.resolve(True, "codegen", None, "jit")
+        run_program(compilation.asm, engine="jit")
 
 
 def test_engine_attribute_on_machine():
     """No engine given: the decoded engine, tiering up; an explicit
-    engine (or the ``decoded=`` bool) never tiers."""
+    engine never tiers."""
     compilation = compile_c(load_source("paper_example.c"),
                             filename="paper_example.c")
     default = AsmMachine(compilation.asm)
     assert (default.engine, default.tiered) == ("decoded", True)
-    assert AsmMachine(compilation.asm, decoded=False).engine == "legacy"
-    for engine in ("decoded", "codegen"):
+    for engine in ("legacy", "decoded", "codegen"):
         machine = AsmMachine(compilation.asm, engine=engine)
         assert (machine.engine, machine.tiered) == (engine, False)
-    assert not AsmMachine(compilation.asm, decoded=True).tiered
 
 
 def test_install_source_skips_generation():

@@ -43,10 +43,10 @@ def _run_both(asm, stack_bytes=1 << 20, fuel=FUEL):
     decoded_out: list = []
     b_legacy, m_legacy = run_program(asm, stack_bytes=stack_bytes,
                                      output=legacy_out, fuel=fuel,
-                                     decoded=False)
+                                     engine="legacy")
     b_decoded, m_decoded = run_program(asm, stack_bytes=stack_bytes,
                                        output=decoded_out, fuel=fuel,
-                                       decoded=True)
+                                       engine="decoded")
     return (_behavior_fingerprint(b_legacy, m_legacy, legacy_out),
             _behavior_fingerprint(b_decoded, m_decoded, decoded_out))
 
@@ -105,13 +105,13 @@ def test_register_file_view():
     and the legacy step loop."""
     compilation = compile_c(load_source("paper_example.c"),
                             filename="paper_example.c")
-    machine = AsmMachine(compilation.asm, decoded=True)
+    machine = AsmMachine(compilation.asm, engine="decoded")
     assert "eax" in machine.iregs
     machine.iregs["eax"] = 41
     assert machine.iregs["eax"] == 41
     assert machine.iregs.as_dict()["eax"] == 41
     assert set(machine.fregs.keys()) == set(AsmMachine(
-        compilation.asm, decoded=False).fregs.keys())
+        compilation.asm, engine="legacy").fregs.keys())
 
 
 def test_legacy_step_works_on_decoded_machine():
@@ -120,7 +120,7 @@ def test_legacy_step_works_on_decoded_machine():
     it)."""
     compilation = compile_c(load_source("paper_example.c"),
                             filename="paper_example.c")
-    machine = AsmMachine(compilation.asm, decoded=True)
+    machine = AsmMachine(compilation.asm, engine="decoded")
     machine.start()
     for _ in range(100):
         if machine.done:

@@ -322,3 +322,13 @@ class TestProfile:
                      "exec.mach", "total"):
             assert name in out, f"missing {name} in profile output"
         assert "steps/s" in out and "ms" in out
+
+    def test_tier_table_has_codegen_on_asm_only(self, program_file, capsys):
+        assert main(["profile", program_file]) == 0
+        levels = ("clight", "rtl", "mach", "asm")
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()
+                if line.split()[:1] and line.split()[0] in levels]
+        assert sorted(row[0] for row in rows) == sorted(levels)
+        for level, legacy, decoded, codegen, *_ratios in rows:
+            assert legacy != "—" and decoded != "—", level
+            assert (codegen != "—") == (level == "asm"), level

@@ -273,3 +273,50 @@ class TestAsmTierTelemetry:
         assert attrs["engine"] == "codegen" and attrs["tier_up_at"] == 0
         assert "interp.asm.tier_ups" not in counters
         assert 0 < counters["interp.codegen.steps"] < machine.steps == 10_000
+
+    def test_codegen_cache_counts_one_compile_per_program(self):
+        from repro.asm.machine import run_program
+        from repro.driver import compile_c
+
+        compilation = compile_c(
+            "int main() { int s = 0; for (int i = 0; i < 9; i++) s += i;"
+            " return s; }")
+        obs.enable()
+        run_program(compilation.asm, engine="codegen")
+        run_program(compilation.asm, engine="codegen")
+        snapshot = obs.snapshot()
+        counters = snapshot["counters"]
+        assert counters["codegen.asm.cache.misses"] == 1
+        assert counters["codegen.asm.cache.hits"] == 1
+        assert snapshot["histograms"]["codegen.compile_seconds"]["count"] == 1
+        assert "codegen.asm.installs" not in counters
+
+
+class TestSemanticsExecSpans:
+    """``exec.clight``/``exec.rtl``/``exec.mach`` name the engine that
+    ran (the default is ``decoded``), and those levels never touch the
+    codegen instruments, which are ASMsz only."""
+
+    @pytest.mark.parametrize("engine", [None, "legacy", "decoded"])
+    @pytest.mark.parametrize("level", ["clight", "rtl", "mach"])
+    def test_span_names_the_engine(self, level, engine):
+        import importlib
+
+        from repro.driver import compile_c
+        from repro.events.stream import null_sink
+        from repro.programs.loader import load_source
+
+        sem = importlib.import_module(f"repro.{level}.semantics")
+        compilation = compile_c(load_source("paper_example.c"),
+                                filename="paper_example.c")
+        obs.enable()
+        outcome = sem.run_streamed(getattr(compilation, level), null_sink,
+                                   engine=engine)
+        (span,) = [record for record in obs.span_records()
+                   if record["name"] == f"exec.{level}"]
+        assert span["attrs"]["engine"] == (engine or "decoded")
+        assert span["attrs"]["steps"] == outcome.steps
+        counters = obs.snapshot()["counters"]
+        assert counters[f"interp.{level}.steps"] == outcome.steps
+        assert not [name for name in counters
+                    if name.startswith(("codegen.", "interp.codegen."))]
