@@ -19,10 +19,10 @@ server), writes the final ``/metrics`` snapshot to ``--metrics-out``
   all three results but runs the pipeline twice — the duplicate comes
   back with a ``duplicate_of`` marker and ``serve.batch.deduped``
   counts it;
-* restart warmth: a *subprocess* daemon fills a store directory, a
-  second daemon on the same directory answers from the persisted
-  artifacts — its probe reports ``codegen: "store"`` and its metrics
-  show exactly zero codegen regenerations.
+* malformed input gets its status (400, 413, 422, any for a parser
+  crash), with no lost worker and exactly one internal error;
+* restart warmth: a second *subprocess* daemon on the first one's store
+  answers crc32 3x faster, recomputes nothing stored, probes the same.
 
 Exit 0 when all gates hold, 1 otherwise (one line per violated gate on
 stderr).  Stdlib only, like everything it tests.
@@ -31,6 +31,7 @@ stderr).  Stdlib only, like everything it tests.
 from __future__ import annotations
 
 import argparse
+import http.client
 import json
 import os
 import shutil
@@ -39,18 +40,26 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 import urllib.error
 import urllib.request
+from typing import Optional
 
 sys.path.insert(0, "src")
 
 from repro.programs.loader import load_source                    # noqa: E402
 from repro.serve import (BoundsServer, ServeConfig,              # noqa: E402
                          validate_response_text)
+from repro.serve.server import MAX_BODY_BYTES                    # noqa: E402
 
 #: Cheap, auto-analyzable, structurally varied.
 SAMPLE = ("mibench/bitcount.c", "mibench/crc32.c",
           "mibench/dijkstra.c", "mibench/fft.c")
+
+#: A restarted daemon must answer a plain ``/verify`` of this program at
+#: least this many times faster than a cold one (store reads against a
+#: compile, an analysis and a check: the margin is structural).
+RESTART_PROGRAM, RESTART_FLOOR = "mibench/crc32.c", 3.0
 
 
 def _post_path(port: int, path: str, payload: dict) -> tuple[int, str]:
@@ -69,8 +78,25 @@ def _post(port: int, payload: dict) -> tuple[int, str]:
     return _post_path(port, "/verify", payload)
 
 
-def _subprocess_round(store_dir: str, payload: dict) -> tuple[dict, int]:
-    """Boot a daemon subprocess, run one probe, return (probe, compiles)."""
+def _post_raw(port: int, length: int, body: bytes = b"") -> Optional[int]:
+    """POST ``body`` under a declared length; None if no status came."""
+    connection = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+    try:
+        connection.putrequest("POST", "/verify")
+        connection.putheader("Content-Length", str(length))
+        connection.endheaders(body or None)
+        return connection.getresponse().status
+    except (OSError, http.client.HTTPException):
+        return None
+    finally:
+        connection.close()
+
+
+def _subprocess_round(store_dir: str) -> tuple[float, dict, dict, dict]:
+    """Boot a daemon on ``store_dir``, time a plain ``/verify`` of the
+    restart program, probe it: ``(seconds, body, probe body, metrics)``."""
+    payload = {"source": load_source(RESTART_PROGRAM),
+               "filename": RESTART_PROGRAM}
     env = dict(os.environ)
     env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
     process = subprocess.Popen(
@@ -82,12 +108,14 @@ def _subprocess_round(store_dir: str, payload: dict) -> tuple[dict, int]:
         if "serving certified bounds" not in line:
             raise RuntimeError(f"daemon failed to boot: {line!r}")
         port = int(line.split("http://127.0.0.1:")[1].split()[0])
-        status, body = _post(port, dict(payload))
-        if status != 200:
-            raise RuntimeError(f"probe status {status}: {body[:200]}")
-        probe = json.loads(body).get("probe") or {}
-        compiles = _metrics(port).get("histograms", {}) \
-            .get("codegen.compile_seconds", {}).get("count", 0)
+        bodies = []
+        for request in (payload, dict(payload, probe=True)):
+            started = time.perf_counter()
+            status, body = _post(port, request)
+            if status != 200:
+                raise RuntimeError(f"status {status}: {body[:200]}")
+            bodies.append((time.perf_counter() - started, json.loads(body)))
+        metrics = _metrics(port)
     finally:
         process.send_signal(signal.SIGTERM)
         try:
@@ -95,7 +123,7 @@ def _subprocess_round(store_dir: str, payload: dict) -> tuple[dict, int]:
         except subprocess.TimeoutExpired:
             process.kill()
             process.wait(timeout=10)
-    return probe, compiles
+    return bodies[0][0], bodies[0][1], bodies[1][1], metrics
 
 
 def _metrics(port: int) -> dict:
@@ -142,10 +170,11 @@ def main(argv=None) -> int:
 
     failures: list[str] = []
 
-    # Phase 1: the serving mix, against a pooled daemon with a store.
+    # Phase 1: the serving mix, against a pooled daemon with a fresh
+    # store, so the hot half can only hit what the cold half stored.
+    mix_store = tempfile.mkdtemp(prefix="serve-smoke-mix-")
     server = BoundsServer(ServeConfig(port=0, jobs=2, queue_depth=16,
-                                      timeout_s=120.0,
-                                      store_root=".repro-cache/serve-smoke"))
+                                      timeout_s=120.0, store_root=mix_store))
     server.start_background()
     port = server.bound_port
     print(f"# serve-smoke: daemon on port {port}, "
@@ -161,6 +190,7 @@ def main(argv=None) -> int:
             failures.append(f"request {index}: invalid response: {error}")
     snapshot = _metrics(port)
     server.stop(drain_timeout_s=30.0)
+    shutil.rmtree(mix_store, ignore_errors=True)
 
     hit_rate = snapshot.get("derived", {}).get("store.hit_rate", 0)
     statuses = sorted({status for status, _body in results})
@@ -274,34 +304,60 @@ def main(argv=None) -> int:
     if deduped < 1:
         failures.append(f"serve.batch.deduped is {deduped} (expected >= 1)")
 
-    # Phase 5: restart warmth.  Subprocess daemons (an honest restart:
+    # Phase 5: malformed input, against a pooled daemon: every request
+    # gets a status, and the parser crashing on 60 nested parentheses is
+    # an internal error, not a lost worker.
+    bad_server = BoundsServer(ServeConfig(port=0, jobs=1, queue_depth=4,
+                                          timeout_s=120.0, store_root=None))
+    bad_server.start_background()
+    bad_port = bad_server.bound_port
+    deep = ("int main(void) { return " + "(" * 60 + "1" + ")" * 60
+            + "; }").encode()
+    bad = [("negative length", _post_raw(bad_port, -1), 400),
+           ("oversized body", _post_raw(bad_port, MAX_BODY_BYTES + 1), 413),
+           ("non-UTF-8 bytes", _post_raw(bad_port, 2, b"\xff\xfe"), 422),
+           ("60-deep expression", _post_raw(bad_port, len(deep), deep),
+            None)]
+    bad_counters = _metrics(bad_port).get("counters", {})
+    bad_server.stop(drain_timeout_s=10.0)
+    print("# serve-smoke: malformed input "
+          + ", ".join(f"{name} {status}" for name, status, _want in bad))
+    failures += [f"{name}: status {status} (expected {want or 'any'})"
+                 for name, status, want in bad
+                 if status is None or want not in (None, status)]
+    for name, want in (("serve.worker_failures", 0),
+                       ("serve.internal_errors", 1)):
+        if bad_counters.get(name, 0) != want:
+            failures.append(f"malformed input: {name} is "
+                            f"{bad_counters.get(name, 0)} (expected {want})")
+
+    # Phase 6: restart warmth.  Subprocess daemons (an honest restart:
     # fresh process, only the store directory survives) — the second
-    # daemon must answer the probe from the persisted codegen artifact
-    # without a single regeneration.
+    # daemon must beat the first by the floor, recompute nothing the
+    # store holds, and probe to what the first daemon's probe saw.
     store_dir = tempfile.mkdtemp(prefix="serve-smoke-restart-")
-    payload = {"source": load_source("mibench/crc32.c"),
-               "filename": "mibench/crc32.c", "probe": True}
     try:
-        cold_probe, _compiles = _subprocess_round(store_dir, payload)
-        warm_probe, compiles = _subprocess_round(store_dir, payload)
+        cold_s, _body, cold, _metrics_cold = _subprocess_round(store_dir)
+        warm_s, body, warm, warm_metrics = _subprocess_round(store_dir)
     except RuntimeError as error:
         failures.append(f"restart phase: {error}")
-        cold_probe = warm_probe = {}
-        compiles = -1
+    else:
+        print(f"# serve-smoke: restart {RESTART_PROGRAM} cold "
+              f"{cold_s * 1e3:.1f}ms, restart-warm {warm_s * 1e3:.1f}ms "
+              f"({cold_s / warm_s:.1f}x, floor {RESTART_FLOOR}x)")
+        if cold_s / warm_s < RESTART_FLOOR:
+            failures.append(f"restart-warm speedup {cold_s / warm_s:.1f}x "
+                            f"is below the {RESTART_FLOOR}x floor")
+        misses = warm_metrics.get("counters", {}).get("store.misses", 0)
+        if set(body["stages"].values()) != {"hit"} or misses:
+            failures.append(f"restarted daemon recomputed stored stages: "
+                            f"{body['stages']}, store.misses {misses}")
+        if any(cold["probe"][field] != warm["probe"][field]
+               for field in ("converged", "measured_bytes", "steps")):
+            failures.append(f"restart probe {warm['probe']} differs from "
+                            f"the first daemon's {cold['probe']}")
     finally:
         shutil.rmtree(store_dir, ignore_errors=True)
-    print(f"# serve-smoke: restart codegen cold={cold_probe.get('codegen')} "
-          f"warm={warm_probe.get('codegen')}, warm compiles={compiles}")
-    if cold_probe.get("codegen") != "generated":
-        failures.append(f"cold daemon probe codegen="
-                        f"{cold_probe.get('codegen')!r} "
-                        "(expected 'generated')")
-    if warm_probe.get("codegen") != "store":
-        failures.append(f"restarted daemon probe codegen="
-                        f"{warm_probe.get('codegen')!r} (expected 'store')")
-    if compiles != 0:
-        failures.append(f"restarted daemon ran codegen {compiles} time(s) "
-                        "(expected exactly 0)")
 
     with open(args.metrics_out, "w") as handle:
         json.dump(snapshot, handle, indent=2, sort_keys=True)

@@ -70,13 +70,6 @@ from repro.runtime import call_external
 
 _MASK = 0xFFFFFFFF
 
-#: Version tag of the generated source format.  The serving layer keys
-#: persisted codegen artifacts by this value: any change to ``_generate``
-#: (block layout, superinstruction set, helper protocol, …) must bump it
-#: so a stored artifact from an older generator is recompiled, never
-#: executed.
-CODEGEN_VERSION = 2
-
 #: Deliberate-miscompile knob for the codegen-layer fault operators.
 #: ``None`` (always, outside the mutation matrix) = faithful codegen;
 #: the three strings make ``_generate`` emit one classic fusion bug.
@@ -1109,49 +1102,13 @@ def codegen_source(program: asm.AsmProgram) -> str:
 def cached_program(program: asm.AsmProgram) -> Optional[CompiledAsm]:
     """Peek the per-program cache without counting a hit or compiling.
 
-    The serving layer's seam: a warm probe asks "is the code object
-    already live?" before deciding between the persisted-source path and
-    a full regeneration.  Returns ``None`` while the fault-injection
-    knob is set (the cache is bypassed in that mode).
+    The serving layer's seam: a probe reports whether its code object
+    was already live or had to be generated.  Returns ``None`` while the
+    fault-injection knob is set (the cache is bypassed in that mode).
     """
     if _MISCOMPILE is not None:
         return None
     return _CODEGEN_CACHE.get(program)
-
-
-def install_source(program: asm.AsmProgram, source: str) -> CompiledAsm:
-    """Compile previously generated source for ``program`` and cache it.
-
-    The persistent-artifact fast path: ``compile()`` + ``exec`` of a
-    stored generator output, skipping ``_generate`` entirely.  Sound
-    only when ``source`` was generated for a program compiled from the
-    same (source text, compiler options) under the same
-    :data:`CODEGEN_VERSION` — the serving store's key guarantees
-    exactly that, and the backend pipeline is deterministic.  Raises
-    ``ValueError`` when the text does not load as a codegen module; the
-    caller treats that as a poisoned artifact and regenerates.
-    """
-    if _MISCOMPILE is not None:
-        raise ValueError(
-            "codegen fault injection is active; refusing to install")
-    started = time.perf_counter()
-    namespace: dict = {}
-    try:
-        exec(compile(source, "<codegen:asm:stored>", "exec"), namespace)
-        bind = namespace["bind"]
-    except Exception as error:
-        raise ValueError(
-            f"stored codegen source does not load: "
-            f"{type(error).__name__}: {error}") from error
-    if not callable(bind):
-        raise ValueError("stored codegen source has no callable bind()")
-    compiled = CompiledAsm(source, bind)
-    _CODEGEN_CACHE[program] = compiled
-    if obs.enabled:
-        obs.add("codegen.asm.installs")
-        obs.observe("codegen.install_seconds",
-                    time.perf_counter() - started)
-    return compiled
 
 
 def bind_blocks(machine, fuel: int) -> dict:

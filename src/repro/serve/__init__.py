@@ -23,8 +23,8 @@ CLI: ``python -m repro serve``; API + schema: ``docs/SERVING.md``.
 
 from repro.serve.pipeline import (RESPONSE_SCHEMA, STAGES, ServeRequest,
                                   error_response, options_from_json,
-                                  reset_warm, run_pipeline,
-                                  validate_response, validate_response_text)
+                                  run_pipeline, validate_response,
+                                  validate_response_text)
 from repro.serve.pool import PoolSaturated, ServePool
 from repro.serve.server import (BATCH_SCHEMA, DEFAULT_STORE_DIR,
                                 MAX_BATCH_ITEMS, BoundsServer, ServeConfig,
@@ -38,7 +38,7 @@ __all__ = [
     "DEFAULT_STORE_DIR", "MAX_BATCH_ITEMS", "PoolSaturated",
     "RESPONSE_SCHEMA", "ResultStore", "STAGES", "STORE_SCHEMA",
     "ServeConfig", "ServeError", "ServePool", "ServeRequest",
-    "error_response", "options_digest", "options_from_json", "reset_warm",
+    "error_response", "options_digest", "options_from_json",
     "run_pipeline", "run_server", "source_digest", "stage_key",
     "validate_response", "validate_response_text",
 ]

@@ -14,14 +14,7 @@ check     ``load_certificate`` derivation re-run   sha256(source, macros)
 ========  =======================================  =====================
 
 A repeat request hits the store at all four stages; a near-repeat (same
-source, different backend flags) misses only ``backend``.  A fifth slot,
-``codegen``, is not a pipeline stage but the *persistent artifact* of
-the probe path: the generated Python source of the codegen execution
-tier, keyed like ``backend`` and tagged with the generator's
-``CODEGEN_VERSION`` — a restarted daemon (or a sibling pool worker)
-``compile()``s the stored source instead of regenerating it, and a
-stale-version or hash-mismatched artifact is dropped and regenerated,
-never executed.  The analyze
+source, different backend flags) misses only ``backend``.  The analyze
 stage stores the *certificate* — the paper's independently re-checkable
 artifact — and the check stage is literally ``load_certificate`` run
 against the (possibly cached) Clight program, so the trust root of a
@@ -34,7 +27,6 @@ serving fault operators and the smoke gate.
 
 from __future__ import annotations
 
-import hashlib
 import inspect
 import json
 import time
@@ -74,21 +66,13 @@ class ServeRequest:
         self.probe = probe
 
     def keys(self) -> dict[str, str]:
-        """The store key of every stage boundary for this request.
-
-        ``codegen`` is the persistent-artifact slot for the generated
-        Python source of the compiled program — keyed like the backend
-        stage (source × options) because the generator's input is the
-        backend's output; the artifact's ``CODEGEN_VERSION`` tag lives
-        in the payload and is checked on load.
-        """
+        """The store key of every stage boundary for this request."""
         src = source_digest(self.source, self.macros)
         opt = options_digest(self.options)
         return {"frontend": stage_key("frontend", src),
                 "backend": stage_key("backend", src, opt),
                 "analyze": stage_key("analyze", src),
-                "check": stage_key("check", src),
-                "codegen": stage_key("codegen", src, opt)}
+                "check": stage_key("check", src)}
 
 
 def options_from_json(data: Optional[dict]) -> CompilerOptions:
@@ -143,93 +127,8 @@ def _warm_get(key: str) -> Optional[Any]:
     return asm_program
 
 
-def reset_warm() -> None:
-    """Drop every warm program (the restart-simulation seam for tests
-    and the stored-artifact fault operators).  Dropping the programs
-    also empties the codegen tier's ``WeakKeyDictionary`` cache."""
-    _warm_programs.clear()
-
-
-# ---------------------------------------------------------------------------
-# The persistent codegen artifact (the source text of the generated tier)
-# ---------------------------------------------------------------------------
-
-
-def _load_codegen_artifact(store: ResultStore, key: str) -> Optional[str]:
-    """The validated generated source stored under ``key``, or ``None``.
-
-    Two payload-level checks on top of the store's wire integrity, both
-    with the store's poison-drop discipline (an invalid artifact is
-    dropped and counted, never returned):
-
-    * ``codegen_version`` must equal the *current* generator's
-      :data:`~repro.asm.codegen.CODEGEN_VERSION` — an artifact from an
-      older generator is recompiled, never executed;
-    * ``sha256`` must match the source text — a truncated or edited
-      source never reaches ``exec``.
-    """
-    from repro.asm.codegen import CODEGEN_VERSION
-
-    payload = store.get(key)
-    if payload is None:
-        return None
-    source = payload.get("source") if isinstance(payload, dict) else None
-    if (not isinstance(payload, dict) or not isinstance(source, str)
-            or payload.get("codegen_version") != CODEGEN_VERSION
-            or payload.get("sha256")
-            != hashlib.sha256(source.encode()).hexdigest()):
-        store.discard(key)
-        obs.add("serve.codegen.artifact.stale")
-        return None
-    return source
-
-
-def _store_codegen_artifact(store: ResultStore, key: str,
-                            source: str) -> None:
-    from repro.asm.codegen import CODEGEN_VERSION
-
-    store.put(key, {
-        "codegen_version": CODEGEN_VERSION,
-        "sha256": hashlib.sha256(source.encode()).hexdigest(),
-        "source": source})
-
-
-def _ensure_codegen(asm_program: Any, store: ResultStore,
-                    key: str) -> str:
-    """Make ``asm_program``'s codegen tier runnable; persist the source.
-
-    Returns where the compiled code object came from: ``"warm"`` (still
-    live from an earlier request), ``"store"`` (persisted source,
-    ``compile()``d — no regeneration), or ``"generated"`` (full
-    ``_generate`` + compile, after which the source is persisted so the
-    next daemon incarnation or pool worker skips it).
-    """
-    from repro.asm import codegen as asm_codegen
-
-    if asm_codegen.cached_program(asm_program) is not None:
-        how = "warm"
-    else:
-        how = "generated"
-        source = _load_codegen_artifact(store, key)
-        if source is not None:
-            try:
-                asm_codegen.install_source(asm_program, source)
-                how = "store"
-            except ValueError:
-                # Loadability is the last line of the poison discipline:
-                # hash-valid text that does not exec is still dropped.
-                store.discard(key)
-                obs.add("serve.codegen.artifact.stale")
-        if how == "generated":
-            asm_codegen.codegen_program(asm_program)
-    if key not in store:
-        _store_codegen_artifact(
-            store, key, asm_codegen.codegen_program(asm_program).source)
-    return how
-
-
 def _run_probe(request: ServeRequest, keys: dict[str, str], clight,
-               stack_bytes: int, warm: bool, store: ResultStore) -> dict:
+               stack_bytes: int, warm: bool) -> dict:
     """Execute at the verified bound on the codegen tier.
 
     The probe is the serving-path version of the Theorem 1 experiment:
@@ -237,6 +136,7 @@ def _run_probe(request: ServeRequest, keys: dict[str, str], clight,
     run the program to completion, and the measured high-water mark is
     returned next to the bound it must stay under.
     """
+    from repro.asm.codegen import cached_program
     from repro.asm.machine import run_program
     from repro.events.trace import Converges
 
@@ -244,7 +144,8 @@ def _run_probe(request: ServeRequest, keys: dict[str, str], clight,
     if asm_program is None:
         asm_program = compile_clight(clight, request.options).asm
         _warm_put(keys["backend"], asm_program)
-    codegen_origin = _ensure_codegen(asm_program, store, keys["codegen"])
+    codegen_origin = ("warm" if cached_program(asm_program) is not None
+                      else "generated")
     output: list = []
     behavior, machine = run_program(asm_program, stack_bytes=stack_bytes,
                                     output=output, fuel=PROBE_FUEL,
@@ -334,8 +235,7 @@ def run_pipeline(request: ServeRequest, store: ResultStore) -> dict:
         with obs.span("serve.probe", filename=request.filename):
             response["probe"] = _run_probe(
                 request, keys, clight,
-                response["bounds"]["stack_requirement"], probe_was_warm,
-                store)
+                response["bounds"]["stack_requirement"], probe_was_warm)
     elapsed = time.perf_counter() - started
     response["elapsed_s"] = round(elapsed, 6)
     obs.observe("serve.pipeline_seconds", elapsed)
@@ -387,7 +287,8 @@ def _assemble(request: ServeRequest, backend: dict, certificate_text: str,
 def error_response(error: Exception) -> dict:
     """The 4xx/5xx response body for one diagnosed failure."""
     return {"schema": RESPONSE_SCHEMA, "verdict": "error",
-            "kind": type(error).__name__, "error": str(error)}
+            "kind": type(error).__name__,
+            "error": str(error) or type(error).__name__}
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +362,7 @@ def validate_response(data: Any) -> dict:
             _fail("probe must be an object")
         if probe.get("engine") not in ("legacy", "decoded", "codegen"):
             _fail(f"probe.engine unknown: {probe.get('engine')!r}")
+        # "store" is still valid response/1, from older daemons.
         if probe.get("codegen") not in ("warm", "store", "generated"):
             _fail(f"probe.codegen unknown: {probe.get('codegen')!r}")
         for field in ("warm", "converged"):

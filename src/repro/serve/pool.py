@@ -28,6 +28,7 @@ import multiprocessing.pool
 import os
 import threading
 import time
+import traceback
 from multiprocessing import Pool
 from typing import Optional
 
@@ -91,6 +92,12 @@ def _execute(payload: dict, store: ResultStore) -> tuple[int, dict]:
     except ReproError as error:
         obs.add("serve.pipeline.rejected")
         return 422, error_response(error)
+    except Exception as error:
+        # A bug, not a verdict: logged, and counted apart from lost
+        # workers (``serve.worker_failures``), since this one survives.
+        traceback.print_exc(limit=-8)
+        obs.add("serve.internal_errors")
+        return 500, error_response(error)
 
 
 def _options_from_key(items: list) -> "CompilerOptions":

@@ -17,8 +17,10 @@ Responses the daemon can produce for ``/verify``:
 
 ====  =====================================================
 200   verified bounds + certificate
-400   malformed request (bad JSON, unknown option, no source)
+400   malformed request (bad JSON or length, unknown option, …)
+413   the declared body exceeds :data:`MAX_BODY_BYTES`; not read
 422   the pipeline rejected the program (parse error, recursion, …)
+500   an internal error, or a worker lost without a result
 503   every in-flight slot taken — ``Retry-After`` is set, nothing
       was queued; the client owns the retry
 504   the request exceeded the per-request budget (or its worker died)
@@ -62,6 +64,9 @@ BATCH_SCHEMA = "repro.serve.batch/1"
 
 #: Most items one ``POST /batch`` may carry.
 MAX_BATCH_ITEMS = 64
+
+#: Largest request body ``/verify`` or ``/batch`` reads.
+MAX_BODY_BYTES = 8 << 20
 
 
 class ServeConfig:
@@ -133,8 +138,11 @@ class _Handler(BaseHTTPRequestHandler):
             return
         started = time.perf_counter()
         obs.add("serve.requests")
+        raw = self._read_body()
+        if raw is None:
+            return
         try:
-            fields = self._parse_request_body()
+            fields = self._parse_request_body(raw)
         except ServeError as error:
             self._send_json(400, error_response(error))
             return
@@ -164,8 +172,11 @@ class _Handler(BaseHTTPRequestHandler):
         """
         started = time.perf_counter()
         obs.add("serve.batch.requests")
+        raw = self._read_body()
+        if raw is None:
+            return
         try:
-            items = self._parse_batch_body()
+            items = self._parse_batch_body(raw)
         except ServeError as error:
             self._send_json(400, error_response(error))
             return
@@ -230,15 +241,31 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(data)
         self.wfile.write(b"\r\n")
 
-    def _parse_batch_body(self) -> list[dict]:
+    def _read_body(self) -> Optional[bytes]:
+        """The request body, or ``None`` once a bad length is answered:
+        400 if negative or not an integer, 413 above the cap.  Neither
+        reads the body, so the connection closes after the answer."""
+        declared = self.headers.get("Content-Length", "0")
+        try:
+            length = int(declared)
+        except ValueError:
+            length = -1
+        if 0 <= length <= MAX_BODY_BYTES:
+            return self.rfile.read(length)
+        if length < 0:
+            status, message = 400, f"malformed Content-Length {declared!r}"
+        else:
+            status, message = 413, (f"a {length}-byte body is over the "
+                                    f"{MAX_BODY_BYTES}-byte limit")
+        self._send_json(status, error_response(ServeError(message)),
+                        headers={"Connection": "close"})
+        return None
+
+    def _parse_batch_body(self, raw: bytes) -> list[dict]:
         """The per-item ``ServePool.submit`` kwargs for one batch."""
         try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            raise ServeError("malformed Content-Length") from None
-        try:
-            data = json.loads(self.rfile.read(length))
-        except json.JSONDecodeError as error:
+            data = json.loads(raw)
+        except ValueError as error:   # bad JSON, or bytes that are not text
             raise ServeError(f"request is not valid JSON: {error}") \
                 from None
         if not isinstance(data, dict) \
@@ -259,18 +286,13 @@ class _Handler(BaseHTTPRequestHandler):
                 raise ServeError(f"batch item {index}: {error}") from None
         return fields
 
-    def _parse_request_body(self) -> dict:
+    def _parse_request_body(self, raw: bytes) -> dict:
         """The ``ServePool.submit`` kwargs for this HTTP request.
 
         Two content types: ``application/json`` carries
         ``{source, filename?, macros?, options?}``; anything else is
         the raw C source with default options.
         """
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            raise ServeError("malformed Content-Length") from None
-        raw = self.rfile.read(length)
         content_type = (self.headers.get("Content-Type") or "").split(";")[0]
         if content_type.strip().lower() != "application/json":
             if not raw.strip():
@@ -279,7 +301,7 @@ class _Handler(BaseHTTPRequestHandler):
                     "filename": "<request>"}
         try:
             data = json.loads(raw)
-        except json.JSONDecodeError as error:
+        except ValueError as error:   # bad JSON, or bytes that are not text
             raise ServeError(f"request is not valid JSON: {error}") \
                 from None
         fields = _request_fields(data)

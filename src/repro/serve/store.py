@@ -178,12 +178,6 @@ class ResultStore:
                 handle.write(text)
             os.replace(tmp, self._path(key))
 
-    def discard(self, key: str) -> None:
-        """Drop one entry (the poison-drop seam for callers that layer
-        their own payload-level validation, e.g. the codegen artifact's
-        ``CODEGEN_VERSION`` check)."""
-        self._discard(key)
-
     def _discard(self, key: str) -> None:
         with self._lock:
             if self.root is None:

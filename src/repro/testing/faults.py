@@ -679,71 +679,6 @@ def _response_truncate() -> tuple[bool, str, str]:
     return False, "", "truncated response accepted by the validator"
 
 
-def _poisoned_codegen_artifact(mutate) -> tuple[bool, str, str]:
-    """Shared scaffold for the stored-codegen-artifact operators.
-
-    Serve a probe request (persisting the generated source), let
-    ``mutate`` corrupt the stored artifact payload (re-hashed at the
-    store's wire level, so only the *payload-level* checks stand between
-    the poison and ``exec``), simulate a daemon restart, and re-serve:
-    the poisoned artifact must be dropped and regenerated — probed
-    execution still converging at the served bound — never executed.
-    """
-    from repro.asm.codegen import CODEGEN_VERSION
-    from repro.serve.pipeline import ServeRequest, reset_warm, run_pipeline
-    from repro.serve.store import ResultStore
-
-    store = ResultStore(root=None)
-    request = ServeRequest(_SERVE_SOURCE, filename="serve-fault.c",
-                           probe=True)
-    baseline = run_pipeline(request, store)
-    key = request.keys()["codegen"]
-    artifact = store.get(key)
-    if not isinstance(artifact, dict):
-        return False, "", "no codegen artifact was persisted"
-    store.put(key, mutate(dict(artifact)))
-    reset_warm()   # a restarted daemon has no warm programs
-    response = run_pipeline(request, store)
-    probe = response["probe"]
-    if probe.get("codegen") != "generated":
-        return False, "", (f"poisoned artifact was served "
-                           f"(codegen={probe.get('codegen')!r})")
-    if not probe.get("converged") \
-            or probe.get("measured_bytes") \
-            != baseline["probe"]["measured_bytes"]:
-        return False, "", "regenerated probe diverged from the baseline"
-    replacement = store.get(key)
-    if not isinstance(replacement, dict) \
-            or replacement.get("codegen_version") != CODEGEN_VERSION:
-        return False, "", "poisoned artifact was not replaced in the store"
-    return (True, "codegen-artifact-check",
-            "poisoned artifact dropped, regenerated and re-persisted")
-
-
-@_register("codegen-version-skew", "serving",
-           "rewrite a stored codegen artifact with a stale "
-           "CODEGEN_VERSION tag")
-def _codegen_version_skew() -> tuple[bool, str, str]:
-    def mutate(artifact: dict) -> dict:
-        artifact["codegen_version"] = artifact["codegen_version"] + 1
-        return artifact
-
-    return _poisoned_codegen_artifact(mutate)
-
-
-@_register("codegen-source-truncate", "serving",
-           "truncate a stored codegen artifact's source mid-text")
-def _codegen_source_truncate() -> tuple[bool, str, str]:
-    def mutate(artifact: dict) -> dict:
-        # Keep the recorded hash: the wire re-hash is consistent, so
-        # only the payload's own source digest can catch the cut.
-        artifact["source"] = artifact["source"][:len(artifact["source"])
-                                                // 2]
-        return artifact
-
-    return _poisoned_codegen_artifact(mutate)
-
-
 @_register("worker-death", "serving",
            "kill the worker process mid-request")
 def _worker_death() -> tuple[bool, str, str]:

@@ -12,13 +12,17 @@ The acceptance contract, executable:
   partial hit: only the backend stage recompiles;
 * a saturated queue answers 503 with ``Retry-After`` and never drops a
   request it accepted;
+* bad input is answered at once, and never costs a worker;
 * ``SIGTERM`` drains in-flight requests and exits 0 (subprocess test).
 """
 
 from __future__ import annotations
 
+import glob
+import http.client
 import json
 import os
+import re
 import signal
 import socket
 import subprocess
@@ -34,12 +38,16 @@ from repro import obs
 from repro.driver import CompilerOptions, verify_stack_bounds
 from repro.programs.loader import load_source
 from repro.serve import STAGES, BoundsServer, ServeConfig
+from repro.serve.server import MAX_BODY_BYTES
 
 #: The catalog sample: auto-analyzable, fast, structurally varied.
 SAMPLE = ("mibench/bitcount.c", "mibench/crc32.c",
           "mibench/dijkstra.c", "mibench/fft.c")
 
 CLIENT_THREADS = 8
+
+REPO = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
 
 
 def _post(port: int, payload: dict, timeout: float = 120.0):
@@ -300,6 +308,103 @@ class TestBackpressure:
         assert time.perf_counter() - started < 5.0
 
 
+class TestMalformedInput:
+    """Input that used to hang, crash or lose a worker gets a status."""
+
+    @pytest.mark.parametrize("path", ["/verify", "/batch"])
+    @pytest.mark.parametrize("length, status", [
+        (-1, 400), ("12x", 400), (MAX_BODY_BYTES + 1, 413), (1 << 40, 413)])
+    def test_bad_content_length_is_answered_at_once(self, server, path,
+                                                    length, status):
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", server.bound_port, timeout=1.0)
+        try:
+            connection.putrequest("POST", path)
+            connection.putheader("Content-Length", str(length))
+            connection.endheaders()     # and no body: none is read
+            response = connection.getresponse()
+            body = json.loads(response.read())
+        finally:
+            connection.close()
+        assert (response.status, body["verdict"]) == (status, "error")
+        assert response.getheader("Connection") == "close"
+
+    @pytest.mark.parametrize("jobs", [0, 1])
+    def test_pipeline_exception_is_an_internal_error(self, jobs):
+        # The parser recurses per parenthesis level and runs out of stack.
+        deep = "int main(void) { return " + "(" * 60 + "1" + ")" * 60 + "; }"
+        daemon = BoundsServer(ServeConfig(port=0, jobs=jobs, queue_depth=2,
+                                          timeout_s=60.0, store_root=None))
+        daemon.start_background()
+        try:
+            before = _get(daemon.bound_port, "/metrics")["counters"]
+            status, body, _ = _post(daemon.bound_port, {"source": deep})
+            after = _get(daemon.bound_port, "/metrics")["counters"]
+        finally:
+            daemon.stop(drain_timeout_s=10.0)
+        assert (status, body["kind"]) == (500, "RecursionError")
+        delta = _delta(before, after)
+        assert delta.get("serve.internal_errors") == 1
+        assert delta.get("serve.worker_failures", 0) == 0
+
+
+class TestMetricsDoc:
+    """The docs name what the daemon emits, and nothing deleted."""
+
+    def test_every_emitted_serving_metric_is_documented(self, server):
+        port = server.bound_port
+        item = {"source": "int main(void) { return 41; }"}
+        statuses = [_post(port, dict(item, probe=probe))[0]
+                    for probe in (False, False, True, True)]
+        statuses += [_post(port, {"source": 7})[0],
+                     _post(port, {"source": "int main(void) {"})[0]]
+        assert statuses == [200, 200, 200, 200, 400, 422]
+        assert len(_post_batch(port, [item, item])) == 4
+        snapshot = _get(port, "/metrics")
+        emitted = {name for kind in ("counters", "gauges", "histograms")
+                   for name in snapshot[kind]
+                   if name.startswith(("serve.", "store."))}
+        for name in ("serve.pipeline.rejected", "serve.batch.deduped",
+                     "serve.started_at", "serve.warm_seconds"):
+            assert name in emitted, name
+        normalised = set()
+        for name in emitted:
+            name = re.sub(r"^serve\.worker\.\d+\.", "serve.worker.<pid>.",
+                          name)
+            name = re.sub(r"^serve\.responses\.\d+$",
+                          "serve.responses.<status>", name)
+            normalised.add(re.sub(rf"^store\.({'|'.join(STAGES)})\.",
+                                  "store.<stage>.", name))
+        with open(os.path.join(REPO, "docs", "SERVING.md")) as handle:
+            text = handle.read()
+        table = text[text.index("| name | kind | meaning |"):]
+        documented = {name for row in table[:table.index("\n\n")].split("\n")
+                      for name in re.findall(r"`([^`]+)`", row.split("|")[1])}
+        assert not normalised - documented, sorted(normalised - documented)
+
+    def test_every_documented_metric_is_in_the_code(self):
+        # A metric deleted from the code must leave the docs too: each
+        # serve.*, store.* or codegen.* name they give is a string
+        # literal in src/ (a <placeholder> matches an f-string field, a
+        # hit rate its hits counter; {a,b} and * forms are skipped).
+        literal = re.compile(r'"((?:serve|store|codegen)\.[^"]*)"')
+        literals = set()
+        for path in glob.glob(os.path.join(REPO, "src", "**", "*.py"),
+                              recursive=True):
+            with open(path) as handle:
+                literals.update(re.sub(r"\{[^}]*\}", "<>", name)
+                                for name in literal.findall(handle.read()))
+        for path in glob.glob(os.path.join(REPO, "docs", "*.md")) + [
+                os.path.join(REPO, "README.md")]:
+            with open(path) as handle:
+                text = handle.read()
+            for token in re.findall(r"`((?:serve|store|codegen)\.[^`*{]*)`",
+                                    text):
+                name = re.sub(r"\.hit_rate$", ".hits",
+                              re.sub(r"<[^>]*>", "<>", token))
+                assert name in literals, f"{path} names {token}"
+
+
 class TestHealthz:
     def test_health_document(self, server):
         health = _get(server.bound_port, "/healthz")
@@ -406,7 +511,7 @@ class TestBatch:
 
 
 class TestRestartPersistence:
-    """The store — codegen artifacts included — survives a restart."""
+    """The store survives a restart; the compiled code does not."""
 
     #: Small, auto-analyzable, runs in microseconds at its bound.
     SOURCE = ("int leaf(int x) { int a[6]; a[x % 6] = x; return a[0]; }\n"
@@ -419,8 +524,7 @@ class TestRestartPersistence:
             [sys.executable, "-m", "repro", "serve", "--port", "0",
              "--jobs", "0", "--store-dir", store_dir],
             stderr=subprocess.PIPE, text=True, env=env,
-            cwd=os.path.dirname(os.path.dirname(os.path.dirname(
-                os.path.abspath(__file__)))))
+            cwd=REPO)
 
     def _serve_once(self, store_dir: str) -> tuple[dict, dict]:
         """Boot, serve one probe request, SIGTERM; returns (body, metrics)."""
@@ -441,8 +545,7 @@ class TestRestartPersistence:
                 process.wait(timeout=10)
         return body, metrics
 
-    def test_second_daemon_is_warm_with_zero_codegen_compiles(
-            self, tmp_path):
+    def test_restarted_daemon_recomputes_no_stored_stage(self, tmp_path):
         store_dir = str(tmp_path / "store")
 
         cold_body, cold_metrics = self._serve_once(store_dir)
@@ -452,19 +555,15 @@ class TestRestartPersistence:
             "codegen.compile_seconds", {}).get("count", 0) == 1
 
         warm_body, warm_metrics = self._serve_once(store_dir)
-        # Every stage replays from the store...
+        # Nothing stored is recomputed...
         assert warm_body["stages"] == {stage: "hit" for stage in STAGES}
-        # ...the probe compiled the *persisted* source...
-        assert warm_body["probe"]["codegen"] == "store"
+        assert warm_metrics["counters"].get("store.misses", 0) == 0
         assert warm_body["bounds"] == cold_body["bounds"]
-        # ...and this daemon regenerated exactly nothing.
-        counters = warm_metrics["counters"]
-        histograms = warm_metrics["histograms"]
-        assert histograms.get("codegen.compile_seconds",
-                              {}).get("count", 0) == 0
-        assert counters.get("codegen.asm.installs", 0) == 1
-        assert counters.get("store.codegen.hits", 0) == 1
-        assert counters.get("store.misses", 0) == 0
+        # ...and the probe, which is not stored, observes the same run.
+        cold_probe, warm_probe = cold_body["probe"], warm_body["probe"]
+        assert warm_probe["codegen"] == "generated"
+        for field in ("converged", "measured_bytes", "steps"):
+            assert warm_probe[field] == cold_probe[field], field
 
 
 class TestSignalDrain:
@@ -477,8 +576,7 @@ class TestSignalDrain:
             [sys.executable, "-m", "repro", "serve", "--port", "0",
              "--jobs", "0", "--no-store"],
             stderr=subprocess.PIPE, text=True, env=env,
-            cwd=os.path.dirname(os.path.dirname(os.path.dirname(
-                os.path.abspath(__file__)))))
+            cwd=REPO)
         try:
             line = process.stderr.readline()
             assert "serving certified bounds" in line

@@ -189,52 +189,6 @@ def test_engine_attribute_on_machine():
         assert (machine.engine, machine.tiered) == (engine, False)
 
 
-def test_install_source_skips_generation():
-    """The persistent-artifact path: stored source, same observables.
-
-    Generation is deterministic — two independent compilations of the
-    same C source generate identical Python — so installing one
-    compilation's source onto the other's program is exactly what a
-    restarted daemon does when it replays the store, and every
-    observable must match a from-scratch generation.
-    """
-    source_c = load_source("paper_example.c")
-    first = compile_c(source_c, filename="paper_example.c")
-    second = compile_c(source_c, filename="paper_example.c")
-    assert first.asm is not second.asm
-    generated = codegen.codegen_source(first.asm)
-    assert codegen.cached_program(second.asm) is None
-    installed = codegen.install_source(second.asm, generated)
-    assert codegen.cached_program(second.asm) is installed
-    # codegen_program now reuses the installed object: no regeneration.
-    assert codegen.codegen_program(second.asm) is installed
-    assert installed.source == codegen.codegen_source(second.asm)
-    fresh = run_program(first.asm, fuel=100_000, engine="codegen")
-    replayed = run_program(second.asm, fuel=100_000, engine="codegen")
-    assert type(fresh[0]) is type(replayed[0])
-    assert fresh[0].return_code == replayed[0].return_code
-    assert fresh[1].steps == replayed[1].steps
-    assert fresh[1].measured_stack_usage == replayed[1].measured_stack_usage
-
-
-def test_install_source_rejects_unloadable_text():
-    """Poisoned artifacts never reach the cache.
-
-    Loadability is the *last* line of defense — the serving layer's
-    payload hash catches subtler corruption (a truncated source can
-    still be syntactically valid Python) before it gets here.
-    """
-    fresh = compile_c(load_source("paper_example.c"),
-                      filename="paper_example.c")
-    with pytest.raises(ValueError):
-        codegen.install_source(fresh.asm, "def B0(:\n")  # syntax error
-    with pytest.raises(ValueError):
-        codegen.install_source(fresh.asm, "x = 1\n")     # no bind()
-    with pytest.raises(ValueError):
-        codegen.install_source(fresh.asm, "bind = 7\n")  # not callable
-    assert codegen.cached_program(fresh.asm) is None
-
-
 # ---------------------------------------------------------------------------
 # The tiered default run
 # ---------------------------------------------------------------------------

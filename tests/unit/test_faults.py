@@ -1,6 +1,8 @@
 """Unit tests for the fault-operator registry (repro.testing.faults)."""
 
 import json
+import os
+import re
 
 import pytest
 
@@ -51,6 +53,18 @@ class TestRegistry:
     def test_plants_are_exactly_the_metric_layer(self):
         assert metric_fault_names() == [op.name
                                         for op in operators("metric")]
+
+    def test_threat_model_table_names_exactly_the_registry(self):
+        # docs/TESTING.md: one row per layer, operators in column three.
+        with open(os.path.join(os.path.dirname(__file__), os.pardir,
+                               os.pardir, "docs", "TESTING.md")) as handle:
+            text = handle.read()
+        table = text[text.index("| layer | artifact attacked |"):]
+        rows = [row.split("|")
+                for row in table[:table.index("\n\n")].splitlines()[2:]]
+        assert {row[1].strip(" `"): set(re.findall(r"`([^`]+)`", row[3]))
+                for row in rows} == \
+            {layer: {op.name for op in operators(layer)} for layer in LAYERS}
 
     def test_validate_plant(self):
         validate_plant(None)

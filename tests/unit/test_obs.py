@@ -289,7 +289,6 @@ class TestAsmTierTelemetry:
         assert counters["codegen.asm.cache.misses"] == 1
         assert counters["codegen.asm.cache.hits"] == 1
         assert snapshot["histograms"]["codegen.compile_seconds"]["count"] == 1
-        assert "codegen.asm.installs" not in counters
 
 
 class TestSemanticsExecSpans:
