@@ -97,7 +97,9 @@ def allocate_function(function: rtl.RTLFunction,
             int_slots += 1
         return slot
 
-    for reg in must_spill:
+    # Slots are numbered in register order: iterating the set itself
+    # would follow the order liveness happened to visit the calls.
+    for reg in sorted(must_spill):
         mapping[reg] = new_slot(reg in function.float_regs)
 
     # Greedy coloring, most-constrained first.

@@ -241,6 +241,29 @@ class TestRegalloc:
                     assert isinstance(allocation.loc(reg), LSlot), \
                         f"r{reg} live across a call but in a register"
 
+    def test_spill_slots_independent_of_graph_order(self):
+        # r1 is live across the first call and r9 across the second.  1
+        # and 9 share a bucket of a small set's hash table, so a spill
+        # set iterated in insertion order would number their slots in
+        # whatever order the calls were visited.
+        nodes = [
+            (6, rtl.Iop(("const", 1), [], 1, 5)),
+            (5, rtl.Icall(None, "f", [], 4)),
+            (4, rtl.Iop(("binop", "add"), [1, 1], 9, 3)),
+            (3, rtl.Icall(None, "f", [], 2)),
+            (2, rtl.Ireturn(9)),
+        ]
+
+        def build(items):
+            return rtl.RTLFunction("g", [], set(), 0, dict(items), 6, 10,
+                                   False, [])
+
+        forward = allocate_function(build(nodes))
+        backward = allocate_function(build(reversed(nodes)))
+        assert isinstance(forward.loc(1), LSlot)
+        assert isinstance(forward.loc(9), LSlot)
+        assert forward.mapping == backward.mapping
+
     def test_params_get_distinct_locations(self):
         program = to_rtl("int f(int a, int b, int c) { return a*100+b*10+c; }"
                          " int main() { return f(1, 2, 3); }")
