@@ -40,7 +40,6 @@ from repro.driver import compile_c, compile_clight, compile_frontend
 from repro.events.trace import Converges
 from repro.logic import bexpr
 from repro.programs.loader import load_source
-from repro.rtl import constprop
 from repro.testing import oracles
 from repro.testing.progen import generate_program
 
@@ -171,9 +170,10 @@ def _campaign(seeds: range) -> float:
 
 
 def bench_campaign(seeds: range = range(8)) -> dict:
-    # "Old" configuration: legacy ASM step loop, reference dataflow
-    # solver, no bounds memoization, and a frontend re-run per ablation
-    # point (what compile_c-per-ablation did before the shared frontend).
+    # "Old" configuration: legacy ASM step loop, no bounds memoization,
+    # and a frontend re-run per ablation point (what
+    # compile_c-per-ablation did before the shared frontend).  The RTL
+    # dataflow passes have one implementation, so both sides share it.
     # Every ASM run goes through Compilation.run; the override wins over
     # an engine the caller passes (the tightness probes pass None).
     saved_run = driver.Compilation.run
@@ -182,7 +182,6 @@ def bench_campaign(seeds: range = range(8)) -> dict:
         return saved_run(self, *args, **{**kwargs, "engine": "legacy"})
 
     driver.Compilation.run = legacy_run
-    constprop.FUSED_MERGE = False
     bexpr.configure_memoization(False)
     driver.configure_frontend_cache(False)
     saved_frontend = oracles.compile_frontend
@@ -197,7 +196,6 @@ def bench_campaign(seeds: range = range(8)) -> dict:
         oracles.compile_frontend = saved_frontend
         oracles.compile_clight = saved_backend
         driver.Compilation.run = saved_run
-        constprop.FUSED_MERGE = True
         bexpr.configure_memoization(True)
         driver.configure_frontend_cache(True)
 

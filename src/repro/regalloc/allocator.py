@@ -19,7 +19,7 @@ from __future__ import annotations
 from repro.regalloc.locations import (FLOAT_REGS, INT_REGS, LFReg, LReg,
                                       LSlot, Loc)
 from repro.rtl import ast as rtl
-from repro.rtl.liveness import live_before, liveness
+from repro.rtl.liveness import live_before, walk_live_out
 
 
 class Allocation:
@@ -49,12 +49,11 @@ def allocate_function(function: rtl.RTLFunction,
     if spill_everything:
         return _spill_all(function, all_regs)
 
-    live_out = liveness(function, conservative=True)
     interference: dict[int, set[int]] = {reg: set() for reg in all_regs}
     must_spill: set[int] = set()
+    entry_live_in: set[int] = set()
 
-    for node, instr in function.graph.items():
-        out = live_out.get(node, frozenset())
+    for node, instr, out in walk_live_out(function, conservative=True):
         defs = instr.defs()
         # defs interfere with everything live after the instruction
         # (except themselves, and except the source of a plain move).
@@ -65,16 +64,14 @@ def allocate_function(function: rtl.RTLFunction,
                 if other != d and other != move_src:
                     _edge(interference, d, other)
         if isinstance(instr, rtl.Icall):
-            crossing = set(out) - set(defs)
-            must_spill.update(crossing)
+            must_spill.update(out.difference(defs))
+        if node == function.entry:
+            entry_live_in = live_before(instr, out, conservative=True)
 
     # Parameters are defined by the prologue's loads, not by any graph
     # instruction, so they must be made to interfere explicitly: with
     # each other (the loads happen in sequence) and with everything live
     # at the function entry.
-    entry_live_in = live_before(function.graph[function.entry],
-                                live_out.get(function.entry, frozenset()),
-                                conservative=True)
     for param in function.params:
         for other in function.params:
             if other != param:

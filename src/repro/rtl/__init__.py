@@ -7,7 +7,7 @@ optimization and register allocation:
 * :mod:`repro.rtl.lower` — Cminor → RTL construction;
 * :mod:`repro.rtl.semantics` — an interpreter emitting call/ret events
   (used by the differential refinement tests);
-* :mod:`repro.rtl.dataflow` — a generic Kildall worklist solver;
+* :mod:`repro.rtl.dataflow` — block-level forward and backward solvers;
 * :mod:`repro.rtl.constprop` — conditional constant propagation;
 * :mod:`repro.rtl.liveness` — backward liveness analysis;
 * :mod:`repro.rtl.deadcode` — dead-code elimination on pure instructions.

@@ -19,39 +19,21 @@ from repro import ops
 from repro.errors import DynamicError
 from repro.memory.values import VFloat, VInt, Value
 from repro.rtl import ast as rtl
-from repro.rtl.dataflow import solve_forward
+from repro.rtl.dataflow import solve_forward, walk_forward
 
 NAC = "NAC"  # not-a-constant (lattice top)
 # Absence from the fact dict means "undefined yet" (lattice bottom).
 
 Fact = dict  # reg -> Value | NAC
 
-#: Use the solver's fused in-place merge (one traversal per edge, no
-#: per-join dict allocation).  The allocate-and-compare join below stays
-#: as the differential oracle; flip this to cross-check fixpoints.
-FUSED_MERGE = True
-
-
-def _join(a: Fact, b: Fact) -> Fact:
-    out = dict(a)
-    for reg, value in b.items():
-        if reg not in out:
-            out[reg] = value
-        elif out[reg] != value:
-            out[reg] = NAC
-    return out
-
-
-def _equal(a: Fact, b: Fact) -> bool:
-    return a == b
-
 
 def _merge(old: Fact, new: Fact) -> bool:
     """Join ``new`` into ``old`` in place; True iff ``old`` changed.
 
-    Same lattice as :func:`_join` + :func:`_equal`.  Facts propagate by
-    reference, so the ``is`` test skips the ``Value.__eq__`` call for the
-    overwhelmingly common unchanged register.
+    A register absent from one side takes the other side's value; two
+    different values join to NAC.  Values propagate by reference, so the
+    ``is`` test skips the ``Value.__eq__`` call for the overwhelmingly
+    common unchanged register.
     """
     changed = False
     for reg, value in new.items():
@@ -70,21 +52,13 @@ def _merge(old: Fact, new: Fact) -> bool:
 _MISSING = object()
 
 
-def _transfer(_node: int, instr: rtl.Instr, fact: Fact) -> Fact:
+def _transfer(instr: rtl.Instr, fact: Fact) -> None:
     if isinstance(instr, rtl.Iop):
-        out = dict(fact)
-        out[instr.dest] = _eval(instr.op, [fact.get(r, NAC) for r in instr.args])
-        return out
-    if isinstance(instr, rtl.Iload):
-        out = dict(fact)
-        out[instr.dest] = NAC
-        return out
-    if isinstance(instr, rtl.Icall):
-        out = dict(fact)
+        fact[instr.dest] = _eval(instr.op,
+                                 [fact.get(r, NAC) for r in instr.args])
+    elif isinstance(instr, (rtl.Iload, rtl.Icall)):
         if instr.dest is not None:
-            out[instr.dest] = NAC
-        return out
-    return fact
+            fact[instr.dest] = NAC
 
 
 def _eval(op: tuple, args: list):
@@ -115,16 +89,10 @@ def constprop(function: rtl.RTLFunction) -> int:
     # Parameters have unknown run-time values: NAC at entry (leaving them
     # absent would make them lattice bottom and licence bogus folding).
     entry_fact = {param: NAC for param in function.params}
-    if FUSED_MERGE:
-        facts = solve_forward(function, entry_fact, _join, _transfer,
-                              _equal, merge=_merge, copy=dict)
-    else:
-        facts = solve_forward(function, entry_fact, _join, _transfer, _equal)
+    blocks, facts = solve_forward(function, entry_fact, _transfer, _merge,
+                                  dict)
     changed = 0
-    for node, instr in list(function.graph.items()):
-        fact = facts.get(node)
-        if fact is None:
-            continue  # unreachable
+    for node, instr, fact in walk_forward(blocks, facts, _transfer):
         new_instr = _rewrite(instr, fact)
         if new_instr is not None:
             function.graph[node] = new_instr

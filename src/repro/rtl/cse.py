@@ -23,7 +23,7 @@ shrunken live ranges and spill counts (see the ablation bench).
 from __future__ import annotations
 
 from repro.rtl import ast as rtl
-from repro.rtl.dataflow import solve_forward
+from repro.rtl.dataflow import solve_forward, walk_forward
 
 Fact = dict
 
@@ -43,76 +43,77 @@ def _key_of(instr: rtl.Instr, fact: Fact):
     return None
 
 
-def _kill_reg(fact: Fact, reg: int) -> Fact:
-    out = {}
+def _kill_reg(fact: Fact, reg: int) -> None:
+    """Drop, in place, every entry that ``reg`` holds or that reads it."""
+    dead = []
     for key, value in fact.items():
-        if key[0] == "copy":
-            if key[1] == reg or value == reg:
-                continue
-        elif value == reg:
-            continue
+        if value == reg:
+            dead.append(key)
+        elif key[0] == "copy":
+            if key[1] == reg:
+                dead.append(key)
         elif key[0] == "load":
             if key[2] == reg:
-                continue
+                dead.append(key)
         elif reg in key[1]:
-            continue
-        out[key] = value
-    return out
+            dead.append(key)
+    for key in dead:
+        del fact[key]
 
 
-def _kill_loads(fact: Fact) -> Fact:
-    return {key: value for key, value in fact.items() if key[0] != "load"}
+def _kill_loads(fact: Fact) -> None:
+    for key in [key for key in fact if key[0] == "load"]:
+        del fact[key]
 
 
-def _transfer(_node: int, instr: rtl.Instr, fact: Fact) -> Fact:
+def _transfer(instr: rtl.Instr, fact: Fact) -> None:
     if isinstance(instr, rtl.Iop):
-        key = _key_of(instr, fact)  # canonicalize before the kill
+        dest = instr.dest
         if instr.op[0] == "move":
             source = _canon(fact, instr.args[0])
-            out = _kill_reg(fact, instr.dest)
-            if source != instr.dest:
-                out[("copy", instr.dest)] = source
-            return out
+            _kill_reg(fact, dest)
+            if source != dest:
+                fact[("copy", dest)] = source
+            return
+        key = _key_of(instr, fact)  # canonicalize before the kill
         holder = fact.get(key) if key is not None else None
-        out = _kill_reg(fact, instr.dest)
-        if holder is not None and holder != instr.dest:
+        _kill_reg(fact, dest)
+        if holder is not None and holder != dest:
             # The rewrite will turn this into a move from the holder, so
             # the destination becomes a copy of it.
-            out[("copy", instr.dest)] = holder
-        elif key is not None and instr.dest not in instr.args:
-            out[key] = instr.dest
-        return out
-    if isinstance(instr, rtl.Iload):
+            fact[("copy", dest)] = holder
+        elif key is not None and dest not in instr.args:
+            fact[key] = dest
+    elif isinstance(instr, rtl.Iload):
         key = _key_of(instr, fact)
-        holder = fact.get(key) if key is not None else None
-        out = _kill_reg(fact, instr.dest)
+        holder = fact.get(key)
+        _kill_reg(fact, instr.dest)
         if holder is not None and holder != instr.dest:
-            out[("copy", instr.dest)] = holder
-        elif key is not None and instr.dest != instr.addr:
-            out[key] = instr.dest
-        return out
-    if isinstance(instr, rtl.Istore):
-        return _kill_loads(fact)
-    if isinstance(instr, rtl.Icall):
-        out = _kill_loads(fact)
+            fact[("copy", instr.dest)] = holder
+        elif instr.dest != instr.addr:
+            fact[key] = instr.dest
+    elif isinstance(instr, rtl.Istore):
+        _kill_loads(fact)
+    elif isinstance(instr, rtl.Icall):
+        _kill_loads(fact)
         if instr.dest is not None:
-            out = _kill_reg(out, instr.dest)
-        return out
-    return fact
+            _kill_reg(fact, instr.dest)
 
 
-def _join(a: Fact, b: Fact) -> Fact:
-    return {key: value for key, value in a.items() if b.get(key) == value}
+def _merge(old: Fact, new: Fact) -> bool:
+    """Intersect ``old`` with ``new`` in place; True iff ``old`` changed."""
+    dead = [key for key, value in old.items() if new.get(key) != value]
+    for key in dead:
+        del old[key]
+    return bool(dead)
 
 
 def cse_function(function: rtl.RTLFunction) -> int:
     """Rewrite in place; returns the number of instructions simplified."""
-    facts = solve_forward(function, {}, _join, _transfer,
-                          lambda a, b: a == b)
+    blocks, facts = solve_forward(function, {}, _transfer, _merge, dict)
     changed = 0
-    for node, instr in list(function.graph.items()):
-        fact = facts.get(node)
-        if fact is None or not isinstance(instr, (rtl.Iop, rtl.Iload)):
+    for node, instr, fact in walk_forward(blocks, facts, _transfer):
+        if not isinstance(instr, (rtl.Iop, rtl.Iload)):
             continue
         key = _key_of(instr, fact)
         if key is None:

@@ -16,24 +16,24 @@ the register allocator.
 from __future__ import annotations
 
 from repro.rtl import ast as rtl
-from repro.rtl.liveness import has_side_effect, liveness
+from repro.rtl.liveness import has_side_effect, walk_live_out
 
 
 def deadcode(function: rtl.RTLFunction) -> int:
-    """Rewrite in place; returns number of instructions removed."""
+    """Rewrite in place; returns number of instructions removed.
+
+    One round suffices: under faint-variable liveness a dead instruction
+    keeps none of its operands live, so removing it leaves every live
+    set, and hence every other verdict, unchanged.
+    """
     removed = 0
-    changed = True
-    while changed:
-        changed = False
-        live = liveness(function)
-        for node, instr in list(function.graph.items()):
-            if isinstance(instr, (rtl.Inop,)) or has_side_effect(instr):
-                continue
-            defs = instr.defs()
-            if defs and not any(d in live.get(node, frozenset()) for d in defs):
-                function.graph[node] = rtl.Inop(instr.successors()[0])
-                removed += 1
-                changed = True
+    for node, instr, live in walk_live_out(function):
+        if isinstance(instr, rtl.Inop) or has_side_effect(instr):
+            continue
+        defs = instr.defs()
+        if defs and not any(d in live for d in defs):
+            function.graph[node] = rtl.Inop(instr.successors()[0])
+            removed += 1
     _prune_unreachable(function)
     return removed
 

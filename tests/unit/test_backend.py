@@ -21,7 +21,7 @@ from repro.regalloc import (FLOAT_REGS, INT_REGS, LFReg, LReg, LSlot,
 from repro.rtl import ast as rtl
 from repro.rtl.constprop import constprop, constprop_program
 from repro.rtl.deadcode import deadcode
-from repro.rtl.liveness import liveness
+from repro.rtl.liveness import live_before, walk_live_out
 from repro.rtl.lower import rtl_of_cminor
 from repro.rtl.semantics import run_program as run_rtl
 
@@ -34,6 +34,11 @@ def lower(source):
 
 def to_rtl(source):
     return rtl_of_cminor(cminor_of_clight(lower(source)))
+
+
+def live_out_map(function, conservative=False):
+    return {node: set(live) for node, _instr, live
+            in walk_live_out(function, conservative)}
 
 
 class TestCminor:
@@ -196,15 +201,12 @@ class TestDeadcode:
 
 class TestLiveness:
     def test_param_live_at_entry(self):
-        from repro.rtl.liveness import live_before
-
         program = to_rtl("int f(int x) { return x; } "
                          "int main() { return f(1); }")
         f = program.functions["f"]
-        live = liveness(f)
+        live = live_out_map(f)
         param = f.params[0]
-        entry_live_in = live_before(f.graph[f.entry],
-                                    live.get(f.entry, frozenset()))
+        entry_live_in = live_before(f.graph[f.entry], live[f.entry])
         assert param in entry_live_in
 
 
@@ -232,7 +234,7 @@ class TestRegalloc:
             "int main() { int keep = 42; f(); return keep; }")
         main = program.functions["main"]
         allocation = allocate_function(main)
-        live = liveness(main, conservative=True)
+        live = live_out_map(main, conservative=True)
         for node, instr in main.graph.items():
             if isinstance(instr, rtl.Icall):
                 for reg in live[node]:
