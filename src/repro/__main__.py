@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Optional
 
 from repro import obs
 from repro.analyzer import StackAnalyzer
@@ -385,6 +386,12 @@ def cmd_profile(args) -> int:
     execution per engine, plus the per-language streamed interpreters
     the deep campaign mode uses, on each of their two engines).
     """
+    # The decoded engines import their modules lazily, inside the first
+    # run's exec span; import them here so no rate pays for it.
+    import repro.asm.decode  # noqa: F401
+    import repro.clight.decode  # noqa: F401
+    import repro.mach.decode  # noqa: F401
+    import repro.rtl.decode  # noqa: F401
     from repro.clight import semantics as clight_sem
     from repro.engines import ASM_ENGINES, SEMANTICS_ENGINES
     from repro.events.stream import null_sink
@@ -415,17 +422,22 @@ def cmd_profile(args) -> int:
     print(f"# stack bound for {compilation.asm.main}: {sz} bytes")
     records = obs.span_records()[mark:]
     _print_span_tree(records)
-    _print_tier_table(records)
+    derived = obs.derive_rates(obs.snapshot())
+    _print_tier_table(records, derived.get("interp.codegen.steps_per_s"))
     return 0
 
 
-def _print_tier_table(records: list[dict]) -> None:
+def _print_tier_table(records: list[dict],
+                      warm_codegen: Optional[float]) -> None:
     """Per-language throughput of each engine, from the span tree.
 
     Every ``exec.*`` span carries ``engine`` and ``steps`` attrs; the
-    table is a pure rendering of those records — there is no second
-    timing path.  Only ASMsz has a codegen engine, so the other rows
-    show ``—`` in that column.
+    table is a pure rendering of those records and of the metrics
+    registry — there is no second timing path.  The ASMsz codegen cell
+    is ``warm_codegen`` (``interp.codegen.steps_per_s``: steps over the
+    time spent in generated code), since its ``exec.asm`` span also
+    holds ``compile()``.  Only ASMsz has a codegen engine, so the other
+    rows show ``—`` in that column.
     """
     rates: dict[str, dict[str, float]] = {}
     for record in records:
@@ -440,6 +452,8 @@ def _print_tier_table(records: list[dict]) -> None:
             steps / record["dur"]
     if not rates:
         return
+    if warm_codegen and "codegen" in rates.get("asm", {}):
+        rates["asm"]["codegen"] = warm_codegen
     print()
     print(f"{'level':10s} {'legacy':>14s} {'decoded':>14s} "
           f"{'codegen':>14s}   speedup vs legacy")

@@ -168,41 +168,17 @@ def compile_clight(clight: cl.Program,
     return Compilation(clight, cminor, rtl, linear, mach, asm, options)
 
 
-# The frontend (parse + typecheck + Clight generation) depends only on the
-# source text, never on ``CompilerOptions``, and the backend never mutates
-# the Clight program it is handed (``cminor_of_clight`` rebuilds every node
-# it lowers).  So one frontend result can be shared across every ablation
-# point of a seed.  The cache is deliberately tiny: campaigns compile the
-# same seed under ~5 option sets back to back, then move on.
-_FRONTEND_CACHE_SIZE = 8
-_frontend_cache: dict[tuple, cl.Program] = {}
-_frontend_cache_enabled = True
-
-
-def configure_frontend_cache(enabled: bool) -> None:
-    """Enable/disable frontend sharing (benchmarks flip this)."""
-    global _frontend_cache_enabled
-    _frontend_cache_enabled = enabled
-    _frontend_cache.clear()
-
-
 def compile_frontend(source: str, filename: str = "<string>",
                      macros: Optional[dict[str, str]] = None) -> cl.Program:
     """Parse, type-check and lower a C translation unit to Clight.
 
-    The result is cached by ``(source, filename, macros)`` and must be
-    treated as immutable by callers; pass it to :func:`compile_clight` any
-    number of times with different options.
+    The frontend depends only on the source text, never on
+    ``CompilerOptions``, and the backend never mutates the Clight program
+    it is handed (``cminor_of_clight`` rebuilds every node it lowers).
+    So callers treat the result as immutable and pass it to
+    :func:`compile_clight` any number of times with different options.
     """
-    key = (source, filename,
-           tuple(sorted(macros.items())) if macros else None)
-    if _frontend_cache_enabled:
-        cached = _frontend_cache.get(key)
-        if cached is not None:
-            obs.add("frontend.cache.hits")
-            return cached
     with obs.span("compile.frontend", filename=filename) as sp:
-        obs.add("frontend.cache.misses")
         with obs.span("compile.parse"):
             program = parse(source, filename, macros)
         with obs.span("compile.typecheck"):
@@ -210,10 +186,6 @@ def compile_frontend(source: str, filename: str = "<string>",
         with obs.span("compile.clight"):
             clight = clight_of_program(program, env)
         sp.set(functions=len(clight.functions))
-    if _frontend_cache_enabled:
-        if len(_frontend_cache) >= _FRONTEND_CACHE_SIZE:
-            _frontend_cache.pop(next(iter(_frontend_cache)))
-        _frontend_cache[key] = clight
     return clight
 
 

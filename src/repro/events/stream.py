@@ -69,10 +69,6 @@ class StreamOutcome:
     def converged(self) -> bool:
         return self.kind == self.CONVERGES
 
-    @property
-    def goes_wrong(self) -> bool:
-        return self.kind == self.GOES_WRONG
-
     def to_behavior(self, trace: Iterable[Event]) -> Behavior:
         """Attach a trace, recovering the equivalent ``Behavior``."""
         if self.kind == self.CONVERGES:

@@ -132,9 +132,6 @@ class Behavior:
         """The behavior with all memory events deleted (paper's B-bar)."""
         raise NotImplementedError
 
-    def _clone(self, trace: Trace) -> "Behavior":
-        raise NotImplementedError
-
 
 class Converges(Behavior):
     """``conv(t, n)``: terminating execution with return code ``n``."""

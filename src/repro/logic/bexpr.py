@@ -635,27 +635,15 @@ class NotGround(Exception):
 # is memoized too (as the sentinel ``_NOT_GROUND``): asking again about a
 # parametric subtree is as common as asking about a ground one.
 _NOT_GROUND = object()
-_memo_enabled = True
 _nf_hits = 0
 _nf_misses = 0
 
 
-def configure_memoization(enabled: bool) -> None:
-    """Turn normal-form memoization on/off (benchmarks flip this)."""
-    global _memo_enabled
-    _memo_enabled = enabled
-
-
 def nf_cache_stats() -> dict:
-    """Hit/miss counters of the normal-form memo, for the perf benches."""
+    """Hit/miss counters of the normal-form memo (``bexpr.nf.*`` metrics)."""
     total = _nf_hits + _nf_misses
     return {"hits": _nf_hits, "misses": _nf_misses,
             "hit_rate": _nf_hits / total if total else 0.0}
-
-
-def reset_nf_cache_stats() -> None:
-    global _nf_hits, _nf_misses
-    _nf_hits = _nf_misses = 0
 
 
 def maxplus_normal_form(expr: BExpr) -> frozenset:
@@ -671,25 +659,23 @@ def maxplus_normal_form(expr: BExpr) -> frozenset:
 def _mpnf(expr: BExpr) -> tuple:
     """Memoizing wrapper around :func:`_mpnf_impl`."""
     global _nf_hits, _nf_misses
-    if _memo_enabled:
-        try:
-            memo = expr._memo_mpnf
-        except AttributeError:
-            pass
-        else:
-            _nf_hits += 1
-            if memo is _NOT_GROUND:
-                raise NotGround(f"not a ground bound: {expr!r}")
-            return memo
-        _nf_misses += 1
-        try:
-            terms = tuple(_mpnf_impl(expr))
-        except NotGround:
-            expr._memo_mpnf = _NOT_GROUND
-            raise
-        expr._memo_mpnf = terms
-        return terms
-    return tuple(_mpnf_impl(expr))
+    try:
+        memo = expr._memo_mpnf
+    except AttributeError:
+        pass
+    else:
+        _nf_hits += 1
+        if memo is _NOT_GROUND:
+            raise NotGround(f"not a ground bound: {expr!r}")
+        return memo
+    _nf_misses += 1
+    try:
+        terms = tuple(_mpnf_impl(expr))
+    except NotGround:
+        expr._memo_mpnf = _NOT_GROUND
+        raise
+    expr._memo_mpnf = terms
+    return terms
 
 
 def _mpnf_impl(expr: BExpr) -> list[tuple[Number, frozenset]]:
@@ -1003,15 +989,13 @@ def _rewrite_frames(expr: BExpr) -> BExpr:
     :func:`bound_le` call rewrites both sides first, and derivation
     re-checks compare the same bounds many times.
     """
-    if _memo_enabled:
-        try:
-            return expr._memo_frames
-        except AttributeError:
-            pass
-        result = _rewrite_frames_impl(expr)
-        expr._memo_frames = result
-        return result
-    return _rewrite_frames_impl(expr)
+    try:
+        return expr._memo_frames
+    except AttributeError:
+        pass
+    result = _rewrite_frames_impl(expr)
+    expr._memo_frames = result
+    return result
 
 
 def _rewrite_frames_impl(expr: BExpr) -> BExpr:

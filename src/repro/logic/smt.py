@@ -277,10 +277,6 @@ def _sample_refute(small: BExpr, large: BExpr) -> Optional[dict]:
 _CACHE: dict = {}
 
 
-def reset_smt_cache() -> None:
-    _CACHE.clear()
-
-
 def smt_bound_le(small: BExpr, large: BExpr,
                  param_domains: Optional[Mapping[str, Iterable[int]]] = None,
                  metric_samples=None) -> CompareResult:

@@ -4,8 +4,8 @@ The paper's Theorem 2 states that a derived precondition bounds the
 weight of every trace of the statement.  Its Coq proof is step-indexed;
 the executable counterpart here drives the Clight machine on concrete
 inputs and checks the inequality ``W_M(trace) <= P(sigma)(M)`` for the
-observed traces, for arbitrary user-supplied metrics.  The property-based
-tests call this on randomly generated programs and on every benchmark.
+observed traces, for arbitrary user-supplied metrics.  The Table 2 suite
+calls it across an input sweep of every recursive benchmark function.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Mapping, Optional, Sequence
 
 from repro.clight import ast as cl
-from repro.clight.semantics import run_call, run_program
+from repro.clight.semantics import run_call
 from repro.events.metrics import StackMetric
 from repro.events.trace import GoesWrong, weight_of_trace
 from repro.logic.bexpr import BExpr, evaluate
@@ -22,28 +22,6 @@ from repro.memory.values import VInt
 
 class SoundnessViolation(AssertionError):
     pass
-
-
-def validate_program_bound(program: cl.Program, bound: BExpr,
-                           metric: StackMetric,
-                           fuel: int = 2_000_000) -> int:
-    """Run ``main`` and check its trace weight against ``bound``.
-
-    Returns the observed weight.  Wrong behaviors are excluded from the
-    claim (the paper's theorems assume safety), so they raise too —
-    making the tests surface unsafe benchmarks instead of skipping them.
-    """
-    behavior = run_program(program, fuel=fuel)
-    if isinstance(behavior, GoesWrong):
-        raise SoundnessViolation(
-            f"program goes wrong ({behavior.reason}); the bound claim "
-            "does not apply")
-    observed = weight_of_trace(metric, behavior.trace)
-    allowed = evaluate(bound, metric.as_dict())
-    if observed > allowed:
-        raise SoundnessViolation(
-            f"weight {observed} exceeds bound {allowed}")
-    return observed
 
 
 def validate_call_bound(program: cl.Program, function: str,

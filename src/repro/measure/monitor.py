@@ -7,7 +7,7 @@ from typing import Optional
 from repro.asm.machine import DEFAULT_FUEL
 from repro.driver import Compilation, CompilerOptions, compile_c
 from repro.errors import DynamicError
-from repro.events.trace import Converges, weight_fold
+from repro.events.trace import Converges
 
 
 class MeasuredRun:
@@ -23,10 +23,6 @@ class MeasuredRun:
     @property
     def converged(self) -> bool:
         return isinstance(self.behavior, Converges)
-
-    def trace_weight(self, metric) -> int:
-        """``W_M`` of the observed trace (the shared streaming fold)."""
-        return weight_fold(metric, self.behavior.trace).peak
 
     def __repr__(self) -> str:
         return (f"MeasuredRun({type(self.behavior).__name__}, "

@@ -97,13 +97,6 @@ class Memory:
         block.cells = []
         self.live_bytes -= block.size
 
-    def block_size(self, block_id: int) -> int:
-        return self._require_block(block_id, "size query").size
-
-    def is_alive(self, block_id: int) -> bool:
-        block = self._blocks.get(block_id)
-        return block is not None and block.alive
-
     def blocks(self) -> Iterable[int]:
         return self._blocks.keys()
 

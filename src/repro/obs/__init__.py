@@ -10,8 +10,8 @@ The design contract:
   goes through :func:`span`, which hands back a shared no-op object
   while disabled.  No per-interpreter-step work is ever added — run
   loops are only wrapped at their entry points — so the disabled
-  overhead on ``benchmarks/bench_interp.py`` is under the 2% budget
-  recorded in ``docs/PERFORMANCE.md``.
+  overhead on the decoded interpreters is under the 2% budget recorded
+  in ``docs/PERFORMANCE.md``.
 * **One process, one recorder/registry; merge across processes.**
   Campaign workers drain per-seed deltas (:func:`drain_metrics`,
   :func:`drain_spans`) that the parent folds back in (:func:`merge`,

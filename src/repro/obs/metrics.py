@@ -210,8 +210,9 @@ def derive_rates(snap: dict) -> dict:
     * ``interp.<lang>.steps_per_s`` from the per-language step and
       second counters;
     * ``<name>.hit_rate`` for every ``<name>.hits``/``<name>.misses``
-      counter pair (frontend cache, decode caches, corpus cache, the
-      serving result store, the ``bexpr.nf`` normal-form memo);
+      counter pair (decode caches, the ASMsz codegen cache, corpus
+      cache, the serving result store, the ``bexpr.nf`` normal-form
+      memo);
     * ``<name>.p50``/``.p95``/``.p99`` for every histogram (bucket-
       boundary estimates — see :func:`histogram_quantile`), so latency
       SLO gates can read ``/metrics`` without re-deriving quantiles.

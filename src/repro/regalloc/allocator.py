@@ -34,10 +34,6 @@ class Allocation:
     def loc(self, reg: int) -> Loc:
         return self.mapping[reg]
 
-    @property
-    def spilled_count(self) -> int:
-        return self.int_slots + self.float_slots
-
     def __repr__(self) -> str:
         return (f"Allocation({len(self.mapping)} vregs, "
                 f"{self.int_slots} int slots, {self.float_slots} float slots)")
@@ -101,12 +97,12 @@ def allocate_function(function: rtl.RTLFunction,
 
     # Greedy coloring, most-constrained first.
     remaining = [r for r in all_regs if r not in mapping]
-    remaining.sort(key=lambda r: (-len(interference.get(r, ())), r))
+    remaining.sort(key=lambda r: (-len(interference[r]), r))
     for reg in remaining:
         is_float = reg in function.float_regs
         palette = FLOAT_REGS if is_float else INT_REGS
         taken: set[str] = set()
-        for neighbor in interference.get(reg, ()):
+        for neighbor in interference[reg]:
             loc = mapping.get(neighbor)
             if isinstance(loc, (LReg, LFReg)) and \
                     loc.is_float_class == is_float:
@@ -143,5 +139,6 @@ def _collect_regs(function: rtl.RTLFunction) -> set[int]:
 
 
 def _edge(graph: dict[int, set[int]], a: int, b: int) -> None:
-    graph.setdefault(a, set()).add(b)
-    graph.setdefault(b, set()).add(a)
+    # ``allocate_function`` seeds the graph with every register.
+    graph[a].add(b)
+    graph[b].add(a)

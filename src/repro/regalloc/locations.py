@@ -27,10 +27,6 @@ class Loc:
     def is_float_class(self) -> bool:
         raise NotImplementedError
 
-    @property
-    def is_register(self) -> bool:
-        return isinstance(self, (LReg, LFReg))
-
 
 class LReg(Loc):
     __slots__ = ("name",)

@@ -121,7 +121,3 @@ def call_external(name: str, args: list[Value],
     if name == "abort":
         raise DynamicError("abort() called")
     raise DynamicError(f"unimplemented external {name!r}")
-
-
-def external_result_is_float(name: str) -> bool:
-    return EXTERNAL_INFO[name][2]

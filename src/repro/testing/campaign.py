@@ -123,7 +123,7 @@ def pool_warmup() -> None:
 
     Importing the whole toolchain and compiling a trivial program in the
     initializer keeps the first real seed of every worker from absorbing
-    module import time and the ``compile_frontend`` cache's cold miss.
+    module import time and the cold start of a first compilation.
     Shared with the serving pool (``repro.serve.pool``): a daemon worker
     has exactly the same cold start as a campaign worker.
     """

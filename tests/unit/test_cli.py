@@ -332,3 +332,44 @@ class TestProfile:
         for level, legacy, decoded, codegen, *_ratios in rows:
             assert legacy != "—" and decoded != "—", level
             assert (codegen != "—") == (level == "asm"), level
+
+    @pytest.fixture
+    def exported(self, program_file, tmp_path, capsys):
+        """``profile`` with both exports, as the CI throughput gate runs it:
+        returns stdout, the span records and the derived rates."""
+        import json
+
+        spans, metrics = tmp_path / "prof.jsonl", tmp_path / "prof.json"
+        assert main(["profile", program_file, "--trace-out", str(spans),
+                     "--metrics-out", str(metrics)]) == 0
+        records = [json.loads(line)
+                   for line in spans.read_text().splitlines()]
+        return (capsys.readouterr().out,
+                [record for record in records if record["type"] == "span"],
+                json.loads(metrics.read_text())["derived"])
+
+    def test_exports_what_the_throughput_gate_reads(self, exported):
+        """The perf-smoke gate compares engines through one ``exec.<level>``
+        record per engine and the warm codegen rate: a renamed attribute
+        must fail here, not leave the gate comparing nothing."""
+        from repro.engines import ASM_ENGINES, SEMANTICS_ENGINES
+
+        _out, spans, derived = exported
+        for level in ("clight", "rtl", "mach", "asm"):
+            engines = ASM_ENGINES if level == "asm" else SEMANTICS_ENGINES
+            runs = [record.get("attrs") or {} for record in spans
+                    if record["name"] == f"exec.{level}"]
+            for engine in engines:
+                measured = [attrs for attrs in runs
+                            if attrs.get("engine") == engine
+                            and attrs.get("steps", 0) > 0]
+                assert len(measured) == 1, (level, engine)
+        assert derived["interp.codegen.steps_per_s"] > 0
+
+    def test_codegen_column_is_the_warm_rate(self, exported):
+        """The codegen cell leaves out compile(): it is the time spent in
+        generated code, not the whole ``exec.asm`` span."""
+        out, _spans, derived = exported
+        asm = next(line.split() for line in out.splitlines()
+                   if line.split()[:1] == ["asm"])
+        assert asm[3] == f"{derived['interp.codegen.steps_per_s']:,.0f}"
