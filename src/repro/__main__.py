@@ -18,14 +18,18 @@ enable instrumentation for the whole command (``docs/OBSERVABILITY.md``).
 
 Exit codes: 0 success, 1 a check failed (failing campaign seeds,
 surviving mutation operators), 2 diagnosed errors (bad input, I/O),
-125 a ``run`` that did not converge.
+70 an internal error (a bug: the tail of its traceback, then one
+``internal error:`` line), 125 a ``run`` that did not converge.  A
+``run`` that converges exits with the program's own return code (its
+low 8 bits), as the compiled program would.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from typing import Optional
+from typing import NoReturn, Optional
 
 from repro import obs
 from repro.analyzer import StackAnalyzer
@@ -143,10 +147,10 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="skip the bound-tightness stack probes")
     fuzz.add_argument("--no-shrink", action="store_true",
                       help="do not minimize failing seeds")
-    from repro.testing.faults import metric_fault_names
-
-    fuzz.add_argument("--plant", default=None, choices=metric_fault_names(),
-                      help="inject a known metric bug (campaign self-test)")
+    fuzz.add_argument("--plant", default=None, type=_plant_name,
+                      metavar="NAME",
+                      help="inject a known metric bug (campaign self-test): "
+                           "a metric fault operator of the registry")
     fuzz.add_argument("--mutation-matrix", action="store_true",
                       help="run the fault-injection matrix instead of a "
                            "campaign: apply every registered mutation "
@@ -195,6 +199,24 @@ def _build_parser() -> argparse.ArgumentParser:
                        metavar="MB", help="result-store size cap")
     add_obs(serve)
     return parser
+
+
+def _plant_name(name: str) -> str:
+    """``--plant``'s type: a metric fault operator of the registry.
+
+    Checked when the flag is given rather than through ``choices``, so
+    that building the parser does not import the campaign stack (and
+    multiprocessing) on every op.  The message is argparse's own for a
+    bad choice.
+    """
+    from repro.testing.faults import metric_fault_names
+
+    names = metric_fault_names()
+    if name not in names:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {name!r} "
+            f"(choose from {', '.join(map(repr, names))})")
+    return name
 
 
 def _options(args) -> CompilerOptions:
@@ -615,7 +637,10 @@ def _export_obs(args) -> None:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    return _dispatch(_build_parser().parse_args(argv))
+
+
+def _dispatch(args) -> int:
     handler = {"bounds": cmd_bounds, "run": cmd_run, "dump": cmd_dump,
                "trace": cmd_trace, "profile": cmd_profile,
                "certify": cmd_certify, "check-cert": cmd_check_cert,
@@ -628,8 +653,10 @@ def main(argv=None) -> int:
     # One uniform error policy for every subcommand: the ReproError
     # hierarchy (parse/type/analysis/derivation/runtime errors) and I/O
     # failures (missing files, unwritable outputs) print a one-line
-    # diagnostic and exit 2 — never a raw traceback.  Exports still run
-    # on failure: a partial trace is exactly what debugging wants.
+    # diagnostic and exit 2 — never a raw traceback.  Any other
+    # exception is a bug: its traceback's tail and one line naming it,
+    # then exit 70 (EX_SOFTWARE), a code no verdict uses.  Exports still
+    # run on failure: a partial trace is exactly what debugging wants.
     try:
         try:
             return handler(args)
@@ -638,7 +665,38 @@ def main(argv=None) -> int:
     except (ReproError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        import traceback
+
+        traceback.print_exc(limit=-8)
+        print(f"internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 70
+
+
+def _end_process(command: str, code: int) -> NoReturn:
+    """End the process once ``command`` has returned ``code``.
+
+    A one-shot op skips interpreter finalization: freeing every AST, IR
+    and bound object one by one takes about a tenth of a ``bounds`` op,
+    and no module outside ``repro.testing`` and ``repro.serve`` registers
+    an atexit hook, a thread or a finalizer that would need it.  ``fuzz``
+    and ``serve`` own worker pools, which multiprocessing's atexit hooks
+    reap, so they exit normally.  So does an op whose output cannot be
+    flushed (a full disk, a closed pipe): finalization then reports it
+    exactly as it would have without the shortcut.
+    """
+    if command not in ("fuzz", "serve"):
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        except OSError:
+            pass
+        else:
+            os._exit(code)
+    sys.exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    arguments = _build_parser().parse_args()
+    _end_process(arguments.command, _dispatch(arguments))

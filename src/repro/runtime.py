@@ -19,27 +19,28 @@ from repro.errors import DynamicError, UndefinedBehaviorError
 from repro.events.trace import IOEvent
 from repro.memory.values import VFloat, VInt, VPtr, Value
 
-# name -> (is_observable, arity, returns_float)
-EXTERNAL_INFO: dict[str, tuple[bool, int, bool]] = {
-    "print_int": (True, 1, False),
-    "print_float": (True, 1, True),
-    "print_char": (True, 1, False),
-    "sin": (True, 1, True),
-    "cos": (True, 1, True),
-    "sqrt": (True, 1, True),
-    "fabs": (True, 1, True),
-    "floor": (True, 1, True),
-    "pow": (True, 2, True),
-    "atan": (True, 1, True),
-    "exp": (True, 1, True),
-    "log": (True, 1, True),
+# name -> (is_observable, arity); the C signatures are
+# repro.c.typecheck.BUILTIN_SIGNATURES.
+EXTERNAL_INFO: dict[str, tuple[bool, int]] = {
+    "print_int": (True, 1),
+    "print_float": (True, 1),
+    "print_char": (True, 1),
+    "sin": (True, 1),
+    "cos": (True, 1),
+    "sqrt": (True, 1),
+    "fabs": (True, 1),
+    "floor": (True, 1),
+    "pow": (True, 2),
+    "atan": (True, 1),
+    "exp": (True, 1),
+    "log": (True, 1),
     # malloc is observable through its *size* only: the returned pointer
     # differs between the block memory and the flat arena, so it stays
     # out of the event and trace preservation across levels is untouched.
     # The size event is what the heap-resource metric prices
     # (repro.events.heap, the paper's §8 outlook).
-    "malloc": (True, 1, False),
-    "abort": (False, 0, False),
+    "malloc": (True, 1),
+    "abort": (False, 0),
 }
 
 
@@ -86,7 +87,7 @@ def call_external(name: str, args: list[Value],
     """
     if name not in EXTERNAL_INFO:
         raise DynamicError(f"call to unknown external function {name!r}")
-    observable, arity, _returns_float = EXTERNAL_INFO[name]
+    observable, arity = EXTERNAL_INFO[name]
     if len(args) != arity:
         raise UndefinedBehaviorError(
             f"{name} expects {arity} arguments, got {len(args)}")

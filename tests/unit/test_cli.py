@@ -219,9 +219,18 @@ class TestCheckCertUndefinedArithmetic:
 
 class TestFuzzMatrixCLI:
     def test_plant_choices_come_from_the_registry(self, capsys):
-        with pytest.raises(SystemExit):
+        """A bad ``--plant`` is argparse's bad-choice error (exit 2), with
+        the operator names read from the fault registry."""
+        from repro.testing.faults import metric_fault_names
+
+        with pytest.raises(SystemExit) as exit_info:
             main(["fuzz", "--plant", "drop-sp"])
-        assert "drop-ra" in capsys.readouterr().err
+        assert exit_info.value.code == 2
+        names = ", ".join(repr(name) for name in metric_fault_names())
+        assert "drop-ra" in names
+        assert capsys.readouterr().err.splitlines()[-1].endswith(
+            f"error: argument --plant: invalid choice: 'drop-sp' "
+            f"(choose from {names})")
 
 
 class TestErrors:
@@ -259,6 +268,18 @@ class TestErrors:
                      "--metrics-out", "/nonexistent-dir/m.json"])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    def test_internal_error_exits_70(self, tmp_path, capsys):
+        """An exception that is not a diagnosis is a bug: exit 70, never
+        1 (a failed check), and its traceback ends in one line naming it."""
+        path = tmp_path / "deep.c"
+        path.write_text("int main(void){return " + "(" * 60 + "1"
+                        + ")" * 60 + ";}")
+        assert main(["bounds", str(path)]) == 70
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].startswith(
+            "internal error: RecursionError")
 
 
 class TestObservabilityFlags:

@@ -62,9 +62,14 @@ class TestRuntime:
         assert is_known_external("sin")
 
     def test_external_info_consistent(self):
-        for name, (observable, arity, _rf) in EXTERNAL_INFO.items():
-            assert arity >= 0
-            assert isinstance(observable, bool)
+        """The runtime and the typechecker know the same externals, with
+        the same arity: a call the typechecker accepts is one the
+        runtime can execute."""
+        from repro.c.typecheck import BUILTIN_SIGNATURES
+
+        assert set(EXTERNAL_INFO) == set(BUILTIN_SIGNATURES)
+        for name, (_observable, arity) in EXTERNAL_INFO.items():
+            assert arity == len(BUILTIN_SIGNATURES[name].params), name
 
 
 class TestDriver:
