@@ -19,7 +19,9 @@ enable instrumentation for the whole command (``docs/OBSERVABILITY.md``).
 Exit codes: 0 success, 1 a check failed (failing campaign seeds,
 surviving mutation operators), 2 diagnosed errors (bad input, I/O),
 70 an internal error (a bug: the tail of its traceback, then one
-``internal error:`` line), 125 a ``run`` that did not converge.  A
+``internal error:`` line), 125 a ``run`` that did not converge, 141 an
+op whose reader closed its output pipe early (``... | head``; nothing
+is printed, as for a tool that SIGPIPE killed).  A
 ``run`` that converges exits with the program's own return code (its
 low 8 bits), as the compiled program would.
 """
@@ -662,6 +664,8 @@ def _dispatch(args) -> int:
             return handler(args)
         finally:
             _export_obs(args)
+    except BrokenPipeError:
+        return _broken_pipe()
     except (ReproError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -674,6 +678,19 @@ def _dispatch(args) -> int:
         return 70
 
 
+def _broken_pipe() -> int:
+    """Stop writing to a stdout whose reader has gone (``... | head``).
+
+    Points fd 1 at the null device, so that no later flush, finalization
+    included, can raise again, and returns 141: what a shell reports for
+    a tool that SIGPIPE killed (128 + 13).  Nothing is printed.
+    """
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, 1)
+    os.close(devnull)
+    return 141
+
+
 def _end_process(command: str, code: int) -> NoReturn:
     """End the process once ``command`` has returned ``code``.
 
@@ -682,14 +699,17 @@ def _end_process(command: str, code: int) -> NoReturn:
     and no module outside ``repro.testing`` and ``repro.serve`` registers
     an atexit hook, a thread or a finalizer that would need it.  ``fuzz``
     and ``serve`` own worker pools, which multiprocessing's atexit hooks
-    reap, so they exit normally.  So does an op whose output cannot be
-    flushed (a full disk, a closed pipe): finalization then reports it
+    reap, so they exit normally.  An op whose reader closed the pipe
+    exits 141 in silence; one whose output cannot be flushed for another
+    reason (a full disk) exits normally too, and finalization reports it
     exactly as it would have without the shortcut.
     """
     if command not in ("fuzz", "serve"):
         try:
             sys.stdout.flush()
             sys.stderr.flush()
+        except BrokenPipeError:
+            os._exit(_broken_pipe())
         except OSError:
             pass
         else:

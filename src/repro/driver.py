@@ -19,7 +19,11 @@ The pipeline is deliberately exposed as *composable stages* —
     compile_frontend → compile_clight → analyze_clight → check_analysis
 
 — each a pure function of its inputs, so callers can insert caching at
-any boundary.  ``verify_stack_bounds`` is the in-process composition;
+any boundary.  ``compile_backends`` is the backend stage for several
+option sets at once (``compile_clight`` is its one-set case): it runs
+the pass prefix the option sets agree on once, which is how the
+campaign compiles a seed at all its ablation points.
+``verify_stack_bounds`` is the in-process composition;
 ``repro.serve.pipeline`` is the same composition with a
 content-addressed result store between every stage (the daemon behind
 ``python -m repro serve``).
@@ -140,32 +144,67 @@ class Compilation:
 def compile_clight(clight: cl.Program,
                    options: Optional[CompilerOptions] = None) -> Compilation:
     """Run the backend pipeline from a Clight program."""
-    options = options or CompilerOptions()
-    with obs.span("compile.backend", options=repr(options.key())):
+    return compile_backends(clight, [options or CompilerOptions()])[0]
+
+
+def compile_backends(clight: cl.Program,
+                     options_list: list[CompilerOptions]
+                     ) -> list[Compilation]:
+    """Run the backend pipeline once per option set, sharing prefixes.
+
+    Cminor and RTL lowering run once.  The RTL passes then run in
+    pipeline order; at each one the option sets that agree so far are
+    split into those that run it and those that skip it, and only where
+    a group splits is its RTL program forked (the side that skips keeps
+    the original).  Linear, Mach and ASM run once per option set.  The
+    results share ``clight``, ``cminor``, and ``rtl`` wherever their
+    options agree on every RTL pass; every consumer downstream of the RTL
+    passes only reads them.
+    """
+    # Looked up at call time, so a caller that rebinds a pass in this
+    # module's globals (tracing, fault tests) sees every call.
+    rtl_passes = (("constprop", constprop_program), ("cse", cse_program),
+                  ("tailcall", tailcall_program),
+                  ("deadcode", deadcode_program))
+    keys = "; ".join(repr(options.key()) for options in options_list)
+    with obs.span("compile.backend", options=keys):
         with obs.span("compile.cminor"):
             cminor = cminor_of_clight(clight)
         with obs.span("compile.rtl"):
             rtl = rtl_of_cminor(cminor)
-        if options.constprop:
-            with obs.span("compile.rtl.constprop"):
-                constprop_program(rtl)
-        if options.cse:
-            with obs.span("compile.rtl.cse"):
-                cse_program(rtl)
-        if options.tailcall:
-            with obs.span("compile.rtl.tailcall"):
-                tailcall_program(rtl)
-        if options.deadcode:
-            with obs.span("compile.rtl.deadcode"):
-                deadcode_program(rtl)
-        with obs.span("compile.linear"):
-            linear = linear_of_rtl(
-                rtl, spill_everything=options.spill_everything)
-        with obs.span("compile.mach"):
-            mach = mach_of_linear(linear)
-        with obs.span("compile.asm"):
-            asm = asm_of_mach(mach)
-    return Compilation(clight, cminor, rtl, linear, mach, asm, options)
+        # (RTL program, indices of the option sets that agree on every
+        # RTL pass so far).
+        groups = [(rtl, range(len(options_list)))]
+        for flag, run_pass in rtl_passes:
+            split = []
+            for program, members in groups:
+                running = [i for i in members
+                           if getattr(options_list[i], flag)]
+                skipping = [i for i in members
+                            if not getattr(options_list[i], flag)]
+                if skipping:
+                    split.append((program, skipping))
+                if running:
+                    if skipping:
+                        program = program.fork()
+                    with obs.span(f"compile.rtl.{flag}"):
+                        run_pass(program)
+                    split.append((program, running))
+            groups = split
+        rtl_at = {i: program for program, members in groups
+                  for i in members}
+        compilations = []
+        for i, options in enumerate(options_list):
+            with obs.span("compile.linear"):
+                linear = linear_of_rtl(
+                    rtl_at[i], spill_everything=options.spill_everything)
+            with obs.span("compile.mach"):
+                mach = mach_of_linear(linear)
+            with obs.span("compile.asm"):
+                asm = asm_of_mach(mach)
+            compilations.append(Compilation(clight, cminor, rtl_at[i],
+                                            linear, mach, asm, options))
+    return compilations
 
 
 def compile_frontend(source: str, filename: str = "<string>",
@@ -176,7 +215,8 @@ def compile_frontend(source: str, filename: str = "<string>",
     ``CompilerOptions``, and the backend never mutates the Clight program
     it is handed (``cminor_of_clight`` rebuilds every node it lowers).
     So callers treat the result as immutable and pass it to
-    :func:`compile_clight` any number of times with different options.
+    :func:`compile_clight` or :func:`compile_backends` any number of
+    times with different options.
     """
     with obs.span("compile.frontend", filename=filename) as sp:
         with obs.span("compile.parse"):

@@ -224,6 +224,14 @@ class RTLFunction:
             self.float_regs.add(reg)
         return reg
 
+    def fork(self) -> "RTLFunction":
+        """A copy whose graph, registers and parameters can be rewritten
+        without touching this function's (see :meth:`RTLProgram.fork`)."""
+        return RTLFunction(self.name, self.params, set(self.float_regs),
+                           self.stacksize, dict(self.graph), self.entry,
+                           self.next_reg, self.returns_float,
+                           self.param_is_float)
+
     def instructions(self):
         return self.graph.items()
 
@@ -243,6 +251,20 @@ class RTLProgram:
         self.functions = dict(functions)
         self.externals = set(externals)
         self.main = main
+
+    def fork(self) -> "RTLProgram":
+        """A copy the RTL passes can rewrite without touching this program.
+
+        The instruction objects are shared: no pass mutates one.
+        Constprop, CSE and deadcode replace or delete entries of
+        ``graph``, and tail-call recognition adds nodes and fresh
+        registers, so a fork copies each function's ``graph``,
+        ``float_regs`` and ``params`` and nothing else.
+        """
+        return RTLProgram(self.globals,
+                          {name: function.fork()
+                           for name, function in self.functions.items()},
+                          self.externals, self.main)
 
     def is_internal(self, name: str) -> bool:
         return name in self.functions

@@ -19,28 +19,28 @@ from repro.errors import DynamicError, UndefinedBehaviorError
 from repro.events.trace import IOEvent
 from repro.memory.values import VFloat, VInt, VPtr, Value
 
-# name -> (is_observable, arity); the C signatures are
-# repro.c.typecheck.BUILTIN_SIGNATURES.
-EXTERNAL_INFO: dict[str, tuple[bool, int]] = {
-    "print_int": (True, 1),
-    "print_float": (True, 1),
-    "print_char": (True, 1),
-    "sin": (True, 1),
-    "cos": (True, 1),
-    "sqrt": (True, 1),
-    "fabs": (True, 1),
-    "floor": (True, 1),
-    "pow": (True, 2),
-    "atan": (True, 1),
-    "exp": (True, 1),
-    "log": (True, 1),
+# name -> arity; the C signatures are repro.c.typecheck.BUILTIN_SIGNATURES.
+# Each external's event (none for abort) is coded in call_external.
+EXTERNAL_INFO: dict[str, int] = {
+    "print_int": 1,
+    "print_float": 1,
+    "print_char": 1,
+    "sin": 1,
+    "cos": 1,
+    "sqrt": 1,
+    "fabs": 1,
+    "floor": 1,
+    "pow": 2,
+    "atan": 1,
+    "exp": 1,
+    "log": 1,
     # malloc is observable through its *size* only: the returned pointer
     # differs between the block memory and the flat arena, so it stays
     # out of the event and trace preservation across levels is untouched.
     # The size event is what the heap-resource metric prices
     # (repro.events.heap, the paper's §8 outlook).
-    "malloc": (True, 1),
-    "abort": (False, 0),
+    "malloc": 1,
+    "abort": 0,
 }
 
 
@@ -87,7 +87,7 @@ def call_external(name: str, args: list[Value],
     """
     if name not in EXTERNAL_INFO:
         raise DynamicError(f"call to unknown external function {name!r}")
-    observable, arity = EXTERNAL_INFO[name]
+    arity = EXTERNAL_INFO[name]
     if len(args) != arity:
         raise UndefinedBehaviorError(
             f"{name} expects {arity} arguments, got {len(args)}")

@@ -38,8 +38,9 @@ execution of one generated program:
 ``check_seed`` runs the hierarchy for one seed across a set of compiler
 ablation points and reports the first violation (plus stage timings).
 The Clight execution, the automatic analysis and the derivation re-check
-are ablation-independent, so they run once per seed; each ablation point
-adds one ASMsz execution plus the differential comparisons.
+are ablation-independent, so they run once per seed, and the backend
+passes the ablations agree on run once (``compile_backends``); each
+ablation point adds one ASMsz execution plus the differential comparisons.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ from typing import Optional
 from repro import obs
 from repro.analyzer import StackAnalyzer
 from repro.clight.semantics import run_streamed as stream_clight
-from repro.driver import (Compilation, CompilerOptions, compile_clight,
-                          compile_frontend)
+from repro.driver import (Compilation, CompilerOptions, compile_backends,
+                          compile_clight, compile_frontend)
 from repro.errors import ReproError
 from repro.events.metrics import StackMetric
 from repro.events.refinement import (RefinementFailure, check_refinement,
@@ -215,14 +216,12 @@ def _check_seed(verdict: SeedVerdict, names: list[str], metric_name: str,
     except ReproError as error:
         raise OracleViolation("compile", names[0],
                               f"{type(error).__name__}: {error}")
-    compilations: dict[str, Compilation] = {}
-    for name in names:
-        try:
-            compilations[name] = compile_clight(clight,
-                                                options=ABLATIONS[name])
-        except ReproError as error:
-            raise OracleViolation("compile", name,
-                                  f"{type(error).__name__}: {error}")
+    # The backend passes the ablations agree on run once too.
+    try:
+        compilations = dict(zip(names, compile_backends(
+            clight, [ABLATIONS[name] for name in names])))
+    except ReproError as error:
+        raise _compile_violation(clight, names, error)
     start = _tick(timings, "compile", start)
 
     # One Clight execution serves every ablation point: the front end does
@@ -269,6 +268,20 @@ def _check_seed(verdict: SeedVerdict, names: list[str], metric_name: str,
         raise OracleViolation("derivation-check", names[0],
                               f"re-check not exact: {report!r}")
     _tick(timings, "derivation", start)
+
+
+def _compile_violation(clight, names: list[str],
+                       shared: ReproError) -> OracleViolation:
+    """The verdict for a failed shared compile: the first ablation, in
+    check order, that fails compiled alone, else ``names[0]``."""
+    for name in names:
+        try:
+            compile_clight(clight, options=ABLATIONS[name])
+        except ReproError as error:
+            return OracleViolation("compile", name,
+                                   f"{type(error).__name__}: {error}")
+    return OracleViolation("compile", names[0],
+                           f"{type(shared).__name__}: {shared}")
 
 
 def _check_ablation(verdict: SeedVerdict, name: str, compilation: Compilation,

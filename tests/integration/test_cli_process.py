@@ -24,6 +24,7 @@ from repro.programs.loader import program_path
 REPO = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
 CRC32 = str(program_path("mibench/crc32.c"))
+BLOWFISH = str(program_path("mibench/blowfish.c"))
 #: Overflows the parser's recursion (one frame chain per paren level).
 DEEP = "int main(void){return " + "(" * 60 + "1" + ")" * 60 + ";}\n"
 #: Modules a one-shot op must not import.
@@ -49,6 +50,16 @@ def _repro(*argv: str, stdout=subprocess.PIPE,
     return subprocess.run([sys.executable, "-m", "repro", *argv],
                           stdout=stdout, stderr=subprocess.PIPE,
                           env=_env(**env), cwd=REPO, timeout=300)
+
+
+def _repro_into_closed_pipe(*argv: str) -> subprocess.CompletedProcess:
+    """Run the CLI with stdout a pipe whose read end is already closed."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        return _repro(*argv, stdout=write)
+    finally:
+        os.close(write)
 
 
 def _in_process(capsys, *argv: str) -> tuple[int, str]:
@@ -156,6 +167,25 @@ class TestExitPath:
                               PYTHONUNBUFFERED=None)
         assert finished.returncode == 120
         assert b"No space left on device" in finished.stderr
+
+    @pytest.mark.parametrize("argv", [("bounds", "--check", CRC32),
+                                      ("dump", BLOWFISH, "--level", "asm")],
+                             ids=["bounds", "dump"])
+    def test_closed_pipe_exits_141_in_silence(self, argv):
+        """A reader that has closed the pipe (``... | head``) ends the op
+        as SIGPIPE would, every time: whether the failed write happens
+        inside ``main()`` or in the final flush must not show."""
+        for _ in range(5):
+            finished = _repro_into_closed_pipe(*argv)
+            assert (finished.returncode, finished.stderr) == (141, b"")
+
+    def test_closed_pipe_still_exports(self, tmp_path):
+        spans = tmp_path / "t.jsonl"
+        finished = _repro_into_closed_pipe("bounds", "--check", CRC32,
+                                           "--trace-out", str(spans))
+        assert finished.returncode == 141, finished.stderr
+        with open(spans) as handle:
+            assert validate_spans_jsonl(handle) > 0
 
     def test_internal_error_exits_70(self, tmp_path):
         source = tmp_path / "deep.c"

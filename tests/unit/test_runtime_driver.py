@@ -68,7 +68,7 @@ class TestRuntime:
         from repro.c.typecheck import BUILTIN_SIGNATURES
 
         assert set(EXTERNAL_INFO) == set(BUILTIN_SIGNATURES)
-        for name, (_observable, arity) in EXTERNAL_INFO.items():
+        for name, arity in EXTERNAL_INFO.items():
             assert arity == len(BUILTIN_SIGNATURES[name].params), name
 
 
