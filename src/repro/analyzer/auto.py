@@ -183,7 +183,10 @@ class AnalysisResult:
 
     def bound_expr(self, name: str) -> BExpr:
         """The symbolic bound for *calling* ``name`` (includes its frame)."""
-        return self.functions[name].total_bound
+        analysis = self.functions.get(name)
+        if analysis is None:
+            raise AnalysisError(f"program has no analyzed function {name!r}")
+        return analysis.total_bound
 
     def bound_bytes(self, name: str, metric: StackMetric,
                     params: Optional[Mapping[str, int]] = None) -> int:

@@ -26,13 +26,12 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from repro import ints, obs
+from repro import engines, ints, obs
 from repro.asm import ast as asm
 from repro.c.types import align_up
 from repro.errors import (DynamicError, MemoryError_, StackOverflowError_,
                           UndefinedBehaviorError)
-from repro.events.trace import (Behavior, Converges, Diverges, Event,
-                                GoesWrong)
+from repro.events.trace import Behavior, Event
 from repro.memory.chunks import Chunk
 from repro.memory.values import VFloat, VInt, Value
 from repro.runtime import call_external
@@ -83,7 +82,6 @@ class AsmMachine:
                  arena_bytes: int = DEFAULT_ARENA_BYTES,
                  output: Optional[list] = None,
                  engine: Optional[str] = None) -> None:
-        from repro import engines
         self.program = program
         self.output = output
         #: Whether a run may move from the decoded engine into generated
@@ -506,20 +504,10 @@ def _execute(machine: AsmMachine, fuel: int) -> Behavior:
         else:
             tier_up = math.inf
         return run(machine, fuel, tier_up)
-    trace: list[Event] = []
-    try:
+
+    def start(_sink) -> AsmMachine:
         machine.start()
-        for _ in range(fuel):
-            if machine.done:
-                break
-            event = machine.step()
-            if event is not None:
-                trace.append(event)
-        else:
-            return Diverges(trace)
-    except DynamicError as exc:
-        return GoesWrong(trace, reason=str(exc))
-    if not machine.done:
-        return Diverges(trace)
-    assert machine.return_code is not None
-    return Converges(trace, machine.return_code)
+        return machine
+
+    trace: list[Event] = []
+    return engines.drive(start, trace.append, fuel).to_behavior(trace)

@@ -13,6 +13,7 @@ Function-like macros, ``##``, and ``#if`` expressions are rejected.
 
 from __future__ import annotations
 
+import re
 from typing import Iterator, Optional, Sequence
 
 from repro.errors import LexError, SourceLocation
@@ -32,6 +33,10 @@ OPERATORS = [
     "+", "-", "*", "/", "%", "<", ">", "=", "!", "&", "|", "^", "~",
     "(", ")", "[", "]", "{", "}", ";", ",", ".", "?", ":",
 ]
+
+#: ``OPERATORS`` as one alternation: ``re`` takes the first alternative
+#: that matches, the operator the list order picks.
+_OPERATOR_RE = re.compile("|".join(map(re.escape, OPERATORS)))
 
 
 class Token:
@@ -213,13 +218,12 @@ def _tokenize_line(line: str, filename: str, line_no: int) -> list[Token]:
             continue
         if ch == '"':
             raise LexError("string literals are not supported", loc)
-        for op in OPERATORS:
-            if line.startswith(op, i):
-                tokens.append(Token("op", op, op, loc))
-                i += len(op)
-                break
-        else:
+        match = _OPERATOR_RE.match(line, i)
+        if match is None:
             raise LexError(f"unexpected character {ch!r}", loc)
+        op = match.group()
+        tokens.append(Token("op", op, op, loc))
+        i = match.end()
     return tokens
 
 

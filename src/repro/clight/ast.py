@@ -331,9 +331,7 @@ class GlobalVar:
 
 
 class Program:
-    # __weakref__ lets repro.clight.decode key its per-program cache
-    # weakly, so decoded code dies with the program.
-    __slots__ = ("globals", "functions", "externals", "main", "__weakref__")
+    __slots__ = ("globals", "functions", "externals", "main")
 
     def __init__(self, globals_: Sequence[GlobalVar],
                  functions: Sequence[Function],

@@ -18,10 +18,12 @@ per-statement closures (classic threaded code):
 * continuations are flat tuples ``(tag, ...)`` with integer tags instead
   of ``Kont`` class instances.
 
-Decoding is cached per program in a ``WeakKeyDictionary`` and is fully
-machine-independent: closures receive the machine as their argument, so
-one decode serves every execution (the campaign runs each seed's Clight
-program once, but golden-suite programs and benchmarks re-run).
+Decoding is machine-independent (closures receive the machine as their
+argument) and, as on RTL and Mach, done afresh by every run: it is
+linear in the program and small next to running it.
+:func:`start` decodes, builds the machine and enters ``main``;
+:func:`repro.engines.drive` runs the ``code = code(m)`` loop and
+classifies the outcome.
 
 The engine is observably equivalent to the legacy step loop by
 construction: same events in the same order, the same one step per
@@ -36,13 +38,10 @@ available behind ``run_program(..., engine="legacy")`` as the oracle.
 from __future__ import annotations
 
 from typing import Callable, Optional
-from weakref import WeakKeyDictionary
 
-from repro import obs
 from repro.clight import ast as cl
-from repro.errors import (DynamicError, FuelExhaustedError, MemoryError_,
-                          UndefinedBehaviorError)
-from repro.events.stream import Consumer, StreamOutcome
+from repro.errors import DynamicError, MemoryError_, UndefinedBehaviorError
+from repro.events.stream import Consumer
 from repro.events.trace import CallEvent, ReturnEvent
 from repro import ints
 from repro.memory import Memory
@@ -97,12 +96,11 @@ class DecodedFunction:
 
 
 class DecodedProgram:
-    __slots__ = ("functions", "main", "globals_index")
+    __slots__ = ("functions", "globals_index")
 
     def __init__(self, program: cl.Program) -> None:
         self.functions = {name: DecodedFunction(fn)
                           for name, fn in program.functions.items()}
-        self.main = program.main
         self.globals_index = {var.name: index
                               for index, var in enumerate(program.globals)}
 
@@ -934,23 +932,12 @@ def _decode_call(stmt: cl.SCall, ctx: _FunctionContext):
 
 
 # ---------------------------------------------------------------------------
-# Program decoding (cached) and the machine
+# Program decoding and the machine
 # ---------------------------------------------------------------------------
 
 
-_decoded_cache: "WeakKeyDictionary[cl.Program, DecodedProgram]" = \
-    WeakKeyDictionary()
-
-
 def decode_program(program: cl.Program) -> DecodedProgram:
-    """Decode ``program`` into threaded code (cached per program)."""
-    dprog = _decoded_cache.get(program)
-    if dprog is not None:
-        if obs.enabled:
-            obs.add("decode.clight.cache.hits")
-        return dprog
-    if obs.enabled:
-        obs.add("decode.clight.cache.misses")
+    """Decode ``program`` into threaded code."""
     dprog = DecodedProgram(program)
     for name, function in program.functions.items():
         ctx = _FunctionContext(program, dprog, function)
@@ -960,7 +947,6 @@ def decode_program(program: cl.Program) -> DecodedProgram:
         rec.param_slots = tuple(ctx.temp_slots[p] for p in function.params)
         rec.block_spec = tuple((var.size, f"{function.name}.{var.name}")
                                for var in function.stackvars)
-    _decoded_cache[program] = dprog
     return dprog
 
 
@@ -973,11 +959,7 @@ class DecodedClightMachine:
     def __init__(self, program: cl.Program, sink: Consumer,
                  output: Optional[list] = None) -> None:
         self.memory = Memory()
-        self.gptrs: list[VPtr] = []
-        for var in program.globals:
-            ptr = self.memory.alloc(var.size, tag=f"global {var.name}")
-            self.memory.store_bytes(ptr, var.image)
-            self.gptrs.append(ptr)
+        self.gptrs: list[VPtr] = self.memory.alloc_globals(program.globals)
         self.output = output
         self.sink = sink
         self.temps: list = []
@@ -991,10 +973,13 @@ class DecodedClightMachine:
         return self.memory.alloc(size, tag="malloc")
 
 
-def _enter_main(m: DecodedClightMachine, program: cl.Program,
-                dprog: DecodedProgram):
-    main = program.function(program.main)
-    if main.params:
+def start(program: cl.Program, sink: Consumer, output: Optional[list]):
+    """Decode ``program``, build its machine and enter ``main``, emitting
+    main's call event into ``sink``: returns ``(machine, main's entry
+    op)`` for :func:`repro.engines.drive`."""
+    dprog = decode_program(program)
+    m = DecodedClightMachine(program, sink, output=output)
+    if program.function(program.main).params:
         raise DynamicError("main with parameters is not supported")
     rec = dprog.functions[program.main]
     m.kont = (KCALL, None, None, m.temps, m.blocks, K_STOP)
@@ -1003,59 +988,4 @@ def _enter_main(m: DecodedClightMachine, program: cl.Program,
     m.blocks = [alloc(size, tag=tag) for size, tag in rec.block_spec]
     m.frec = rec
     m.sink(rec.call_event)
-    return rec.entry
-
-
-def run_streamed(program: cl.Program, sink: Consumer, fuel: int,
-                 output: Optional[list] = None) -> StreamOutcome:
-    """Run the decoded engine, feeding every event into ``sink``.
-
-    The loop mirrors the legacy driver exactly, including the fuel edge
-    case: a program whose final return lands on the very last unit of
-    fuel is classified as diverging, because the legacy loop never got
-    to observe ``done``.
-    """
-    dprog = decode_program(program)
-    counting = _Counting(sink)
-    m = DecodedClightMachine(program, counting, output=output)
-    i = 0
-    code = True  # placeholder: never None before _enter_main returns
-    try:
-        code = _enter_main(m, program, dprog)
-        try:
-            # The hot loop has no termination check: when the program is
-            # done the previous op returned None, and calling it raises
-            # TypeError at exactly the iteration the legacy loop would
-            # have broken out of — so ``i`` stays step-accurate.
-            for i in range(fuel):
-                code = code(m)
-        except TypeError:
-            if code is not None:  # a genuine TypeError inside an op
-                raise
-        else:
-            return StreamOutcome(StreamOutcome.DIVERGES,
-                                 events=counting.count, steps=fuel)
-    except FuelExhaustedError:
-        return StreamOutcome(StreamOutcome.DIVERGES,
-                             events=counting.count, steps=i)
-    except DynamicError as exc:
-        return StreamOutcome(StreamOutcome.GOES_WRONG, reason=str(exc),
-                             events=counting.count, steps=i)
-    if not m.done:
-        return StreamOutcome(StreamOutcome.DIVERGES,
-                             events=counting.count, steps=i)
-    return StreamOutcome(StreamOutcome.CONVERGES,
-                         return_code=m.return_code,
-                         events=counting.count, steps=i)
-
-
-class _Counting:
-    __slots__ = ("sink", "count")
-
-    def __init__(self, sink: Consumer) -> None:
-        self.sink = sink
-        self.count = 0
-
-    def __call__(self, event) -> None:
-        self.count += 1
-        self.sink(event)
+    return m, rec.entry

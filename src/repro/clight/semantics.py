@@ -9,23 +9,22 @@ front end's ``switch`` lowering::
         | Kblock K | Kcall x f theta blocks K
 
 Each internal function call emits ``call(f)``; each return emits
-``ret(f)``; external calls emit their I/O event.  The driver collects the
-event trace and classifies the run as a behavior.
+``ret(f)``; external calls emit their I/O event.  The run driver,
+:func:`repro.engines.run`, feeds the events to a consumer and classifies
+the run as a behavior.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro import engines, obs, ops
+from repro import engines, ops
 from repro.clight import ast as cl
-from repro.errors import (DynamicError, FuelExhaustedError, MemoryError_,
-                          UndefinedBehaviorError)
-from repro.events.trace import (Behavior, CallEvent, Converges, Diverges,
-                                Event, GoesWrong, IOEvent, ReturnEvent)
-from repro.memory import Chunk, Memory
+from repro.errors import DynamicError, MemoryError_, UndefinedBehaviorError
+from repro.events.stream import Consumer, StreamOutcome
+from repro.events.trace import Behavior, CallEvent, Event, ReturnEvent
+from repro.memory import Memory
 from repro.memory.values import VFloat, VInt, VPtr, VUndef, Value
-from repro.events.stream import Consumer, CountingSink, StreamOutcome
 from repro.runtime import call_external
 
 DEFAULT_FUEL = 2_000_000
@@ -106,11 +105,9 @@ class GlobalEnv:
     def __init__(self, program: cl.Program, memory: Memory) -> None:
         self.program = program
         self.memory = memory
-        self.globals: dict[str, VPtr] = {}
-        for var in program.globals:
-            ptr = memory.alloc(var.size, tag=f"global {var.name}")
-            memory.store_bytes(ptr, var.image)
-            self.globals[var.name] = ptr
+        self.globals: dict[str, VPtr] = {
+            var.name: ptr for var, ptr in zip(
+                program.globals, memory.alloc_globals(program.globals))}
 
 
 def eval_expr(expr: cl.Expr, temps: dict, stackblocks: dict,
@@ -339,6 +336,19 @@ class ClightMachine:
         return event
 
 
+def _start(program: cl.Program, sink: Consumer,
+           output: Optional[list]) -> ClightMachine:
+    machine = ClightMachine(program, output=output)
+    sink(machine.enter_main())
+    return machine
+
+
+def _start_decoded(program: cl.Program, sink: Consumer,
+                   output: Optional[list]):
+    from repro.clight import decode
+    return decode.start(program, sink, output)
+
+
 def run_streamed(program: cl.Program, sink: Consumer,
                  fuel: int = DEFAULT_FUEL, output: Optional[list] = None,
                  engine: Optional[str] = None) -> StreamOutcome:
@@ -349,54 +359,11 @@ def run_streamed(program: cl.Program, sink: Consumer,
     interpreter materializing a trace.  ``engine`` is ``"decoded"`` (the
     default, :mod:`repro.clight.decode`) or ``"legacy"`` (this module's
     statement-tree step loop, the differential oracle); both produce the
-    same events, outcome classification and step counts by construction.
+    same events, outcome classification and step counts by construction,
+    and :func:`repro.engines.run` runs and classifies both.
     """
-    engine = engines.check("Clight", engine, engines.SEMANTICS_ENGINES)
-    if obs.enabled:
-        # Wrapped at the entry point only — the step loops stay untouched.
-        with obs.span("exec.clight", engine=engine) as sp:
-            outcome = _run_streamed(program, sink, fuel, output, engine)
-        sp.set(kind=outcome.kind, steps=outcome.steps,
-               events=outcome.events)
-        obs.add("interp.clight.steps", outcome.steps)
-        obs.add("interp.clight.seconds", sp.dur)
-        obs.add("interp.clight.runs")
-        return outcome
-    return _run_streamed(program, sink, fuel, output, engine)
-
-
-def _run_streamed(program: cl.Program, sink: Consumer, fuel: int,
-                  output: Optional[list], engine: str) -> StreamOutcome:
-    if engine == "decoded":
-        from repro.clight import decode
-        return decode.run_streamed(program, sink, fuel, output=output)
-    counting = CountingSink(sink)
-    machine = ClightMachine(program, output=output)
-    i = 0
-    try:
-        counting(machine.enter_main())
-        for i in range(fuel):
-            if machine.done:
-                break
-            event = machine.step()
-            if event is not None:
-                counting(event)
-        else:
-            return StreamOutcome(StreamOutcome.DIVERGES,
-                                 events=counting.count, steps=fuel)
-    except FuelExhaustedError:
-        return StreamOutcome(StreamOutcome.DIVERGES,
-                             events=counting.count, steps=i)
-    except DynamicError as exc:
-        return StreamOutcome(StreamOutcome.GOES_WRONG, reason=str(exc),
-                             events=counting.count, steps=i)
-    if not machine.done:
-        return StreamOutcome(StreamOutcome.DIVERGES,
-                             events=counting.count, steps=i)
-    assert machine.return_code is not None
-    return StreamOutcome(StreamOutcome.CONVERGES,
-                         return_code=machine.return_code,
-                         events=counting.count, steps=i)
+    return engines.run("Clight", program, sink, fuel, output, engine,
+                       _start, _start_decoded)
 
 
 def run_program(program: cl.Program, fuel: int = DEFAULT_FUEL,
@@ -416,24 +383,16 @@ def run_call(program: cl.Program, function_name: str, args: list[Value],
     Returns the behavior of the call together with the returned value when
     the call converges.
     """
-    trace: list[Event] = []
-    machine = ClightMachine(program)
     result_holder: dict[str, Value] = {}
-    machine.temps = result_holder
-    machine.current_function = None
-    function = program.function(function_name)
-    try:
-        trace.append(machine._enter_function(function, args, "$result", Kstop()))
-        for _ in range(fuel):
-            if machine.done:
-                break
-            event = machine.step()
-            if event is not None:
-                trace.append(event)
-        else:
-            return Diverges(trace), None
-    except DynamicError as exc:
-        return GoesWrong(trace, reason=str(exc)), None
-    if not machine.done:
-        return Diverges(trace), None
-    return Converges(trace, machine.return_code or 0), result_holder.get("$result")
+
+    def start(sink: Consumer) -> ClightMachine:
+        machine = ClightMachine(program)
+        machine.temps = result_holder
+        sink(machine._enter_function(program.function(function_name), args,
+                                     "$result", Kstop()))
+        return machine
+
+    trace: list[Event] = []
+    outcome = engines.drive(start, trace.append, fuel)
+    return (outcome.to_behavior(trace),
+            result_holder.get("$result") if outcome.converged else None)

@@ -304,10 +304,7 @@ class VerifiedBounds:
         ``stack_requirement() + 4`` bytes (the +4 for main's pushed return
         address) cannot overflow.
         """
-        main = self.compilation.asm.main
-        if main not in self.analysis.functions:
-            raise AnalysisError("program has no analyzed main function")
-        return self.bytes(main)
+        return self.bytes(self.compilation.asm.main)
 
 
 def verify_stack_bounds(source: str, filename: str = "<string>",

@@ -143,10 +143,3 @@ class StackOverflowError_(DynamicError):
         self.needed = needed
         self.available = available
 
-
-class FuelExhaustedError(DynamicError):
-    """An interpreter ran out of fuel (step budget) before terminating.
-
-    Used by tests and benchmarks to cut off divergent executions; it is a
-    harness artifact, not a wrong behavior of the program.
-    """

@@ -8,8 +8,9 @@ decode time; the machine-global register file becomes one flat list
 with indices assigned program-wide (registers are machine-global in
 Mach, so the index map spans every function).
 
-Like RTL — and unlike Clight — Mach programs are rebuilt by each
-lowering run and are cheap to decode, so no per-program cache is kept.
+As on Clight and RTL, each run decodes afresh (:func:`start`): decode
+is O(instructions).  :func:`repro.engines.drive` runs the
+``code = code(m)`` loop.
 
 Observable equivalence with :class:`~repro.mach.semantics.MachMachine`:
 one closure per legacy ``step()`` (labels included), same event order
@@ -27,7 +28,7 @@ from typing import Callable, Optional
 from repro.clight.decode import (_DIRECT_INT_BINOPS, _FAST_INT_UNOPS, UNDEF,
                                  _VFALSE, _VTRUE)
 from repro.errors import DynamicError, MemoryError_, UndefinedBehaviorError
-from repro.events.stream import Consumer, StreamOutcome
+from repro.events.stream import Consumer
 from repro.events.trace import CallEvent, ReturnEvent
 from repro.mach import ast as mach
 from repro.memory import Chunk, Memory
@@ -56,13 +57,12 @@ class DecodedMachFunction:
 
 
 class DecodedMachProgram:
-    __slots__ = ("functions", "main", "globals_index", "reg_index", "n_regs",
+    __slots__ = ("functions", "globals_index", "reg_index", "n_regs",
                  "result_slot")
 
     def __init__(self, program: mach.MachProgram) -> None:
         self.functions = {name: DecodedMachFunction(fn)
                           for name, fn in program.functions.items()}
-        self.main = program.main
         self.globals_index = {var.name: index
                               for index, var in enumerate(program.globals)}
         # Machine-global register file: one index map for the program.
@@ -617,11 +617,7 @@ class DecodedMachMachine:
     def __init__(self, program: mach.MachProgram, dprog: DecodedMachProgram,
                  sink: Consumer, output: Optional[list] = None) -> None:
         self.memory = Memory()
-        self.gptrs = []
-        for var in program.globals:
-            ptr = self.memory.alloc(var.size, tag=f"global {var.name}")
-            self.memory.store_bytes(ptr, var.image)
-            self.gptrs.append(ptr)
+        self.gptrs = self.memory.alloc_globals(program.globals)
         self.output = output
         self.sink = sink
         self.regs: list = [UNDEF] * dprog.n_regs
@@ -637,56 +633,15 @@ class DecodedMachMachine:
         return self.memory.alloc(size, tag="malloc")
 
 
-class _Counting:
-    __slots__ = ("sink", "count")
-
-    def __init__(self, sink: Consumer) -> None:
-        self.sink = sink
-        self.count = 0
-
-    def __call__(self, event) -> None:
-        self.count += 1
-        self.sink(event)
-
-
-def run_streamed(program: mach.MachProgram, sink: Consumer,
-                 fuel: int, output: Optional[list] = None) -> StreamOutcome:
-    """Run ``program`` on the decoded engine, pushing events to ``sink``."""
-    main = program.functions.get(program.main)
-    if main is None:
-        return StreamOutcome(StreamOutcome.GOES_WRONG,
-                             reason="no main function")
+def start(program: mach.MachProgram, sink: Consumer, output: Optional[list]):
+    """Decode ``program``, build its machine and enter ``main``, emitting
+    main's call event into ``sink``: returns ``(machine, main's entry
+    op)`` for :func:`repro.engines.drive`."""
     dprog = decode_program(program)
-    counting = _Counting(sink)
-    m = DecodedMachMachine(program, dprog, counting, output=output)
-    i = 0
-    code = True  # placeholder: never None before entry
-    try:
-        rec = dprog.functions[program.main]
-        if rec.frame_size > 0:
-            m.frame = m.memory.alloc(rec.frame_size, tag=rec.frame_tag)
-        m.frec = rec
-        m.sink(rec.call_event)
-        code = rec.entry
-        try:
-            # The hot loop; see repro.clight.decode for the sentinel
-            # trick (TypeError fires at exactly the iteration the legacy
-            # loop would notice ``done``).
-            for i in range(fuel):
-                code = code(m)
-        except TypeError:
-            if code is not None:  # a genuine TypeError inside an op
-                raise
-        else:
-            return StreamOutcome(StreamOutcome.DIVERGES,
-                                 events=counting.count, steps=fuel)
-    except DynamicError as exc:
-        # Like RTL, the legacy Mach loop has no FuelExhaustedError
-        # special case — it classifies as GoesWrong.
-        return StreamOutcome(StreamOutcome.GOES_WRONG, reason=str(exc),
-                             events=counting.count, steps=i)
-    if not m.done:
-        return StreamOutcome(StreamOutcome.DIVERGES,
-                             events=counting.count, steps=i)
-    return StreamOutcome(StreamOutcome.CONVERGES, return_code=m.return_code,
-                         events=counting.count, steps=i)
+    m = DecodedMachMachine(program, dprog, sink, output=output)
+    rec = dprog.functions[program.main]
+    if rec.frame_size > 0:
+        m.frame = m.memory.alloc(rec.frame_size, tag=rec.frame_tag)
+    m.frec = rec
+    m.sink(rec.call_event)
+    return m, rec.entry

@@ -6,18 +6,20 @@ the register allocator spilled everything live across calls.  Each call
 allocates one frame block of ``SF(f)`` bytes in the block memory;
 ``MGetParam`` reads the caller's frame through the activation record —
 the last remaining indirection, which the ASM generation then removes by
-merging all frames into one block (paper §3.2).
+merging all frames into one block (paper §3.2).  :func:`run_streamed`
+runs this module's step machine or the decoded engine
+(:mod:`repro.mach.decode`) through the one run driver,
+:func:`repro.engines.run`.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro import engines, obs, ops
+from repro import engines, ops
 from repro.errors import DynamicError, MemoryError_, UndefinedBehaviorError
-from repro.events.stream import Consumer, CountingSink, StreamOutcome
-from repro.events.trace import (Behavior, CallEvent, Converges, Diverges,
-                                Event, GoesWrong, ReturnEvent)
+from repro.events.stream import Consumer, StreamOutcome
+from repro.events.trace import Behavior, CallEvent, Event, ReturnEvent
 from repro.mach import ast as mach
 from repro.memory import Chunk, Memory
 from repro.memory.values import VFloat, VInt, VPtr, VUndef, Value
@@ -44,11 +46,9 @@ class MachMachine:
                  output: Optional[list] = None) -> None:
         self.program = program
         self.memory = Memory()
-        self.globals: dict[str, VPtr] = {}
-        for var in program.globals:
-            ptr = self.memory.alloc(var.size, tag=f"global {var.name}")
-            self.memory.store_bytes(ptr, var.image)
-            self.globals[var.name] = ptr
+        self.globals: dict[str, VPtr] = {
+            var.name: ptr for var, ptr in zip(
+                program.globals, self.memory.alloc_globals(program.globals))}
         self.regs: dict[str, Value] = {}  # machine-global register file
         self.stack: list[_Activation] = []
         self.output = output
@@ -192,6 +192,19 @@ class MachMachine:
         return event
 
 
+def _start(program: mach.MachProgram, sink: Consumer,
+           output: Optional[list]) -> MachMachine:
+    machine = MachMachine(program, output=output)
+    sink(machine._enter(program.functions[program.main], None))
+    return machine
+
+
+def _start_decoded(program: mach.MachProgram, sink: Consumer,
+                   output: Optional[list]):
+    from repro.mach import decode
+    return decode.start(program, sink, output)
+
+
 def run_streamed(program: mach.MachProgram, sink: Consumer,
                  fuel: int = DEFAULT_FUEL, output: Optional[list] = None,
                  engine: Optional[str] = None) -> StreamOutcome:
@@ -200,57 +213,11 @@ def run_streamed(program: mach.MachProgram, sink: Consumer,
     ``engine`` is ``"decoded"`` (the default, :mod:`repro.mach.decode`)
     or ``"legacy"`` (the original ``step()`` machine below, the
     differential oracle); both produce the same events, outcome
-    classification and step counts by construction.  Like RTL, the
-    legacy Mach loop treats ``FuelExhaustedError`` like any other
-    ``DynamicError``.
+    classification and step counts by construction, and
+    :func:`repro.engines.run` runs and classifies both.
     """
-    engine = engines.check("Mach", engine, engines.SEMANTICS_ENGINES)
-    if obs.enabled:
-        # Wrapped at the entry point only — the step loops stay untouched.
-        with obs.span("exec.mach", engine=engine) as sp:
-            outcome = _run_streamed(program, sink, fuel, output, engine)
-        sp.set(kind=outcome.kind, steps=outcome.steps,
-               events=outcome.events)
-        obs.add("interp.mach.steps", outcome.steps)
-        obs.add("interp.mach.seconds", sp.dur)
-        obs.add("interp.mach.runs")
-        return outcome
-    return _run_streamed(program, sink, fuel, output, engine)
-
-
-def _run_streamed(program: mach.MachProgram, sink: Consumer, fuel: int,
-                  output: Optional[list], engine: str) -> StreamOutcome:
-    if engine == "decoded":
-        from repro.mach import decode
-        return decode.run_streamed(program, sink, fuel, output=output)
-    counting = CountingSink(sink)
-    machine = MachMachine(program, output=output)
-    main = program.functions.get(program.main)
-    if main is None:
-        return StreamOutcome(StreamOutcome.GOES_WRONG,
-                             reason="no main function")
-    i = 0
-    try:
-        counting(machine._enter(main, None))
-        for i in range(fuel):
-            if machine.done:
-                break
-            event = machine.step()
-            if event is not None:
-                counting(event)
-        else:
-            return StreamOutcome(StreamOutcome.DIVERGES,
-                                 events=counting.count, steps=fuel)
-    except DynamicError as exc:
-        return StreamOutcome(StreamOutcome.GOES_WRONG, reason=str(exc),
-                             events=counting.count, steps=i)
-    if not machine.done:
-        return StreamOutcome(StreamOutcome.DIVERGES,
-                             events=counting.count, steps=i)
-    assert machine.return_code is not None
-    return StreamOutcome(StreamOutcome.CONVERGES,
-                         return_code=machine.return_code,
-                         events=counting.count, steps=i)
+    return engines.run("Mach", program, sink, fuel, output, engine,
+                       _start, _start_decoded)
 
 
 def run_program(program: mach.MachProgram, fuel: int = DEFAULT_FUEL,

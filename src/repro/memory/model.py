@@ -88,6 +88,16 @@ class Memory:
         self.peak_live_bytes = max(self.peak_live_bytes, self.live_bytes)
         return VPtr(ident, 0)
 
+    def alloc_globals(self, variables: Iterable) -> list[VPtr]:
+        """Allocate one block per global variable, in order, holding its
+        initial ``image``; returns the blocks' pointers in that order."""
+        pointers = []
+        for var in variables:
+            ptr = self.alloc(var.size, tag=f"global {var.name}")
+            self.store_bytes(ptr, var.image)
+            pointers.append(ptr)
+        return pointers
+
     def free(self, ptr: VPtr) -> None:
         """Free a whole block; the pointer must reference offset 0."""
         block = self._require_block(ptr.block, "free")

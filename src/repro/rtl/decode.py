@@ -12,10 +12,11 @@ specialized closures (constants preallocated, operators inlined for the
 monomorphic cases with the legacy ``eval_unop``/``eval_binop`` as the
 error-for-error identical fallback).
 
-The RTL optimization passes rewrite function graphs *in place*, so —
-unlike the Clight decoder — decode results are NOT cached on the
-program: :func:`run_streamed` decodes afresh, which is O(instructions)
-and negligible next to any actual run.
+The RTL optimization passes rewrite function graphs *in place*, so
+decode results are NOT cached on the program: each run decodes afresh
+(:func:`start`), which is O(instructions) and negligible next to any
+actual run.  :func:`repro.engines.drive` runs the ``code = code(m)``
+loop.
 
 Observable equivalence with the legacy machine: one closure call per
 legacy ``step()``, events in the same order (one shared
@@ -31,7 +32,7 @@ from typing import Callable, Optional
 from repro.clight.decode import (_DIRECT_INT_BINOPS, _FAST_INT_UNOPS, UNDEF,
                                  _VFALSE, _VINT0, _VTRUE)
 from repro.errors import DynamicError, MemoryError_, UndefinedBehaviorError
-from repro.events.stream import Consumer, StreamOutcome
+from repro.events.stream import Consumer
 from repro.events.trace import CallEvent, ReturnEvent
 from repro.memory import Memory
 from repro.memory.chunks import Chunk
@@ -60,12 +61,11 @@ class DecodedRTLFunction:
 
 
 class DecodedRTLProgram:
-    __slots__ = ("functions", "main", "globals_index")
+    __slots__ = ("functions", "globals_index")
 
     def __init__(self, program: rtl.RTLProgram) -> None:
         self.functions = {name: DecodedRTLFunction(fn)
                           for name, fn in program.functions.items()}
-        self.main = program.main
         self.globals_index = {var.name: index
                               for index, var in enumerate(program.globals)}
 
@@ -514,11 +514,7 @@ class DecodedRTLMachine:
     def __init__(self, program: rtl.RTLProgram, sink: Consumer,
                  output: Optional[list] = None) -> None:
         self.memory = Memory()
-        self.gptrs = []
-        for var in program.globals:
-            ptr = self.memory.alloc(var.size, tag=f"global {var.name}")
-            self.memory.store_bytes(ptr, var.image)
-            self.gptrs.append(ptr)
+        self.gptrs = self.memory.alloc_globals(program.globals)
         self.output = output
         self.sink = sink
         self.regs: list = []
@@ -532,61 +528,19 @@ class DecodedRTLMachine:
         return self.memory.alloc(size, tag="malloc")
 
 
-class _Counting:
-    __slots__ = ("sink", "count")
-
-    def __init__(self, sink: Consumer) -> None:
-        self.sink = sink
-        self.count = 0
-
-    def __call__(self, event) -> None:
-        self.count += 1
-        self.sink(event)
-
-
-def run_streamed(program: rtl.RTLProgram, sink: Consumer,
-                 fuel: int, output: Optional[list] = None) -> StreamOutcome:
-    """Run ``program`` on the decoded engine, pushing events to ``sink``."""
-    main = program.functions.get(program.main)
-    if main is None:
-        return StreamOutcome(StreamOutcome.GOES_WRONG,
-                             reason="no main function")
+def start(program: rtl.RTLProgram, sink: Consumer, output: Optional[list]):
+    """Decode ``program``, build its machine and enter ``main``, emitting
+    main's call event into ``sink``: returns ``(machine, main's entry
+    op)`` for :func:`repro.engines.drive`."""
     dprog = decode_program(program)
-    counting = _Counting(sink)
-    m = DecodedRTLMachine(program, counting, output=output)
-    i = 0
-    code = True  # placeholder: never None before entry
-    try:
-        if main.params:
-            raise UndefinedBehaviorError(f"{main.name}: arity mismatch")
-        rec = dprog.functions[program.main]
-        m.regs = [UNDEF] * rec.n_regs
-        if rec.stacksize > 0:
-            m.frame = m.memory.alloc(rec.stacksize, tag=rec.frame_tag)
-        m.frec = rec
-        m.sink(rec.call_event)
-        code = rec.entry
-        try:
-            # The hot loop.  When the program finishes, the previous op
-            # returned None and calling it raises TypeError at exactly
-            # the iteration the legacy loop would notice ``done``.
-            for i in range(fuel):
-                code = code(m)
-        except TypeError:
-            if code is not None:  # a genuine TypeError inside an op
-                raise
-        else:
-            # Exactly like the legacy loop, running out of fuel reports
-            # divergence even if the last step completed the program.
-            return StreamOutcome(StreamOutcome.DIVERGES,
-                                 events=counting.count, steps=fuel)
-    except DynamicError as exc:
-        # NB: unlike Clight, the legacy RTL loop has no special case for
-        # FuelExhaustedError (a DynamicError subclass) — match it.
-        return StreamOutcome(StreamOutcome.GOES_WRONG, reason=str(exc),
-                             events=counting.count, steps=i)
-    if not m.done:
-        return StreamOutcome(StreamOutcome.DIVERGES,
-                             events=counting.count, steps=i)
-    return StreamOutcome(StreamOutcome.CONVERGES, return_code=m.return_code,
-                         events=counting.count, steps=i)
+    m = DecodedRTLMachine(program, sink, output=output)
+    main = program.functions[program.main]
+    if main.params:
+        raise UndefinedBehaviorError(f"{main.name}: arity mismatch")
+    rec = dprog.functions[program.main]
+    m.regs = [UNDEF] * rec.n_regs
+    if rec.stacksize > 0:
+        m.frame = m.memory.alloc(rec.stacksize, tag=rec.frame_tag)
+    m.frec = rec
+    m.sink(rec.call_event)
+    return m, rec.entry

@@ -2,18 +2,20 @@
 
 Used by the differential test-suite to check quantitative refinement of
 the Cminor → RTL pass and of the RTL-level optimizations: same pruned
-traces, identical call/ret memory events.
+traces, identical call/ret memory events.  :func:`run_streamed` runs
+this module's step machine or the decoded engine
+(:mod:`repro.rtl.decode`) through the one run driver,
+:func:`repro.engines.run`.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro import engines, obs, ops
+from repro import engines, ops
 from repro.errors import DynamicError, MemoryError_, UndefinedBehaviorError
-from repro.events.stream import Consumer, CountingSink, StreamOutcome
-from repro.events.trace import (Behavior, CallEvent, Converges, Diverges,
-                                Event, GoesWrong, ReturnEvent)
+from repro.events.stream import Consumer, StreamOutcome
+from repro.events.trace import Behavior, CallEvent, Event, ReturnEvent
 from repro.memory import Memory
 from repro.memory.values import VFloat, VInt, VPtr, VUndef, Value
 from repro.rtl import ast as rtl
@@ -40,11 +42,9 @@ class RTLMachine:
                  output: Optional[list] = None) -> None:
         self.program = program
         self.memory = Memory()
-        self.globals: dict[str, VPtr] = {}
-        for var in program.globals:
-            ptr = self.memory.alloc(var.size, tag=f"global {var.name}")
-            self.memory.store_bytes(ptr, var.image)
-            self.globals[var.name] = ptr
+        self.globals: dict[str, VPtr] = {
+            var.name: ptr for var, ptr in zip(
+                program.globals, self.memory.alloc_globals(program.globals))}
         self.stack: list[_Activation] = []
         self.output = output
         self.done = False
@@ -166,6 +166,19 @@ class RTLMachine:
         return event
 
 
+def _start(program: rtl.RTLProgram, sink: Consumer,
+           output: Optional[list]) -> RTLMachine:
+    machine = RTLMachine(program, output=output)
+    sink(machine._enter(program.functions[program.main], [], None))
+    return machine
+
+
+def _start_decoded(program: rtl.RTLProgram, sink: Consumer,
+                   output: Optional[list]):
+    from repro.rtl import decode
+    return decode.start(program, sink, output)
+
+
 def run_streamed(program: rtl.RTLProgram, sink: Consumer,
                  fuel: int = DEFAULT_FUEL, output: Optional[list] = None,
                  engine: Optional[str] = None) -> StreamOutcome:
@@ -174,57 +187,11 @@ def run_streamed(program: rtl.RTLProgram, sink: Consumer,
     ``engine`` is ``"decoded"`` (the default, :mod:`repro.rtl.decode`)
     or ``"legacy"`` (the step loop below, the differential oracle);
     both produce the same events, outcome classification and step
-    counts by construction.  Note the legacy RTL loop treats
-    ``FuelExhaustedError`` like any other ``DynamicError`` (it has no
-    Clight-style special case); both engines preserve that.
+    counts by construction, and :func:`repro.engines.run` runs and
+    classifies both.
     """
-    engine = engines.check("RTL", engine, engines.SEMANTICS_ENGINES)
-    if obs.enabled:
-        # Wrapped at the entry point only — the step loops stay untouched.
-        with obs.span("exec.rtl", engine=engine) as sp:
-            outcome = _run_streamed(program, sink, fuel, output, engine)
-        sp.set(kind=outcome.kind, steps=outcome.steps,
-               events=outcome.events)
-        obs.add("interp.rtl.steps", outcome.steps)
-        obs.add("interp.rtl.seconds", sp.dur)
-        obs.add("interp.rtl.runs")
-        return outcome
-    return _run_streamed(program, sink, fuel, output, engine)
-
-
-def _run_streamed(program: rtl.RTLProgram, sink: Consumer, fuel: int,
-                  output: Optional[list], engine: str) -> StreamOutcome:
-    if engine == "decoded":
-        from repro.rtl import decode
-        return decode.run_streamed(program, sink, fuel, output=output)
-    counting = CountingSink(sink)
-    machine = RTLMachine(program, output=output)
-    main = program.functions.get(program.main)
-    if main is None:
-        return StreamOutcome(StreamOutcome.GOES_WRONG,
-                             reason="no main function")
-    i = 0
-    try:
-        counting(machine._enter(main, [], None))
-        for i in range(fuel):
-            if machine.done:
-                break
-            event = machine.step()
-            if event is not None:
-                counting(event)
-        else:
-            return StreamOutcome(StreamOutcome.DIVERGES,
-                                 events=counting.count, steps=fuel)
-    except DynamicError as exc:
-        return StreamOutcome(StreamOutcome.GOES_WRONG, reason=str(exc),
-                             events=counting.count, steps=i)
-    if not machine.done:
-        return StreamOutcome(StreamOutcome.DIVERGES,
-                             events=counting.count, steps=i)
-    assert machine.return_code is not None
-    return StreamOutcome(StreamOutcome.CONVERGES,
-                         return_code=machine.return_code,
-                         events=counting.count, steps=i)
+    return engines.run("RTL", program, sink, fuel, output, engine,
+                       _start, _start_decoded)
 
 
 def run_program(program: rtl.RTLProgram, fuel: int = DEFAULT_FUEL,

@@ -27,6 +27,8 @@ CRC32 = str(program_path("mibench/crc32.c"))
 BLOWFISH = str(program_path("mibench/blowfish.c"))
 #: Overflows the parser's recursion (one frame chain per paren level).
 DEEP = "int main(void){return " + "(" * 60 + "1" + ")" * 60 + ";}\n"
+#: No ``main``: nothing to bound or to run.
+NO_MAIN = "int f(void) { return 1; }\n"
 #: Modules a one-shot op must not import.
 HARNESS = ("repro.testing", "repro.serve", "multiprocessing")
 
@@ -133,6 +135,24 @@ class TestExitPath:
         assert finished.stdout == b""
         lines = finished.stderr.decode().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [("bounds",), ("bounds", "--check"),
+                                      ("run",), ("profile",)],
+                             ids=["bounds", "bounds-check", "run", "profile"])
+    def test_no_main_is_one_error_line(self, argv, tmp_path):
+        source = tmp_path / "nomain.c"
+        source.write_text(NO_MAIN)
+        finished = _repro(*argv, str(source))
+        assert finished.returncode == 2
+        assert finished.stderr.decode().splitlines() == [
+            "error: program has no analyzed function 'main'"]
+
+    def test_no_main_trace_goes_wrong(self, tmp_path):
+        source = tmp_path / "nomain.c"
+        source.write_text(NO_MAIN)
+        finished = _repro("trace", str(source))
+        assert (finished.returncode, finished.stderr) == (0, b"")
+        assert finished.stdout.startswith(b"# GoesWrong; 0 events")
 
     def test_exports_are_complete(self, tmp_path):
         spans, metrics = tmp_path / "t.jsonl", tmp_path / "m.json"

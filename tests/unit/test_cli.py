@@ -15,6 +15,10 @@ def _reset_obs():
     obs.reset()
 
 
+#: A program without ``main``.
+NO_MAIN = "int f(void) { return 1; }\n"
+
+
 @pytest.fixture
 def program_file(tmp_path):
     path = tmp_path / "prog.c"
@@ -263,6 +267,23 @@ class TestErrors:
         assert main([command, "/nonexistent/x.c"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["bounds"], ["bounds", "--check"],
+                                      ["run"], ["profile"]],
+                             ids=["bounds", "bounds-check", "run", "profile"])
+    def test_no_main_diagnosed(self, argv, tmp_path, capsys):
+        """A file without ``main`` has no bound to report or run at."""
+        path = tmp_path / "nomain.c"
+        path.write_text(NO_MAIN)
+        assert main([*argv, str(path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: program has no analyzed function 'main'"]
+
+    def test_no_main_trace_goes_wrong(self, tmp_path, capsys):
+        path = tmp_path / "nomain.c"
+        path.write_text(NO_MAIN)
+        assert main(["trace", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("# GoesWrong; 0 events")
+
     def test_unwritable_output_diagnosed(self, program_file, capsys):
         code = main(["bounds", program_file,
                      "--metrics-out", "/nonexistent-dir/m.json"])
@@ -357,7 +378,8 @@ class TestProfile:
     @pytest.fixture
     def exported(self, program_file, tmp_path, capsys):
         """``profile`` with both exports, as the CI throughput gate runs it:
-        returns stdout, the span records and the derived rates."""
+        returns stdout, the span records, the derived rates and the
+        counters."""
         import json
 
         spans, metrics = tmp_path / "prof.jsonl", tmp_path / "prof.json"
@@ -365,9 +387,10 @@ class TestProfile:
                      "--metrics-out", str(metrics)]) == 0
         records = [json.loads(line)
                    for line in spans.read_text().splitlines()]
+        document = json.loads(metrics.read_text())
         return (capsys.readouterr().out,
                 [record for record in records if record["type"] == "span"],
-                json.loads(metrics.read_text())["derived"])
+                document["derived"], document["counters"])
 
     def test_exports_what_the_throughput_gate_reads(self, exported):
         """The perf-smoke gate compares engines through one ``exec.<level>``
@@ -375,7 +398,7 @@ class TestProfile:
         must fail here, not leave the gate comparing nothing."""
         from repro.engines import ASM_ENGINES, SEMANTICS_ENGINES
 
-        _out, spans, derived = exported
+        _out, spans, derived, _counters = exported
         for level in ("clight", "rtl", "mach", "asm"):
             engines = ASM_ENGINES if level == "asm" else SEMANTICS_ENGINES
             runs = [record.get("attrs") or {} for record in spans
@@ -390,7 +413,49 @@ class TestProfile:
     def test_codegen_column_is_the_warm_rate(self, exported):
         """The codegen cell leaves out compile(): it is the time spent in
         generated code, not the whole ``exec.asm`` span."""
-        out, _spans, derived = exported
+        out, _spans, derived, _counters = exported
         asm = next(line.split() for line in out.splitlines()
                    if line.split()[:1] == ["asm"])
         assert asm[3] == f"{derived['interp.codegen.steps_per_s']:,.0f}"
+
+    #: Documented names a profile run cannot emit, and why.
+    NOT_IN_PROFILE = {
+        "interp.asm.tier_ups": "profile names each ASMsz engine, and only "
+                               "a run given no engine tiers up",
+        "decode.asm.cache.hits": "profile decodes its ASMsz program once",
+    }
+
+    def test_observability_doc_names_what_profile_emits(self, exported):
+        """The ``exec.*``, ``interp.*`` and ``decode.*`` names in
+        OBSERVABILITY.md are the ones a profile run emits, and the other
+        way round: a documented name nothing emits, or an emitted name
+        the doc omits, fails here."""
+        _out, spans, derived, counters = exported
+        prefixes = ("exec.", "interp.", "decode.")
+        emitted = {name for name in [*(record["name"] for record in spans),
+                                     *derived, *counters]
+                   if name.startswith(prefixes)}
+        documented = _documented_names(prefixes)
+        assert self.NOT_IN_PROFILE.keys() <= documented
+        assert not self.NOT_IN_PROFILE.keys() & emitted
+        assert documented - self.NOT_IN_PROFILE.keys() == emitted
+
+
+def _documented_names(prefixes: tuple[str, ...]) -> set[str]:
+    """The backticked names in OBSERVABILITY.md that start with one of
+    ``prefixes``, with ``<lang>`` and each ``{a,b}`` expanded."""
+    import itertools
+    import re
+    from pathlib import Path
+
+    doc = (Path(__file__).resolve().parents[2] / "docs"
+           / "OBSERVABILITY.md").read_text()
+    pattern = r"`((?:%s)[^`\s]*)`" % "|".join(map(re.escape, prefixes))
+    names = set()
+    for text in re.findall(pattern, doc):
+        parts = re.split(r"(<lang>|\{[^}]*\})", text)
+        choices = [("clight", "rtl", "mach", "asm") if part == "<lang>"
+                   else part[1:-1].split(",") if part.startswith("{")
+                   else (part,) for part in parts]
+        names.update("".join(pick) for pick in itertools.product(*choices))
+    return names

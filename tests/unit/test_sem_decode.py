@@ -95,6 +95,7 @@ WRONG_PROGRAMS = {
     "out-of-bounds": "int a[2]; int main() { return a[5]; }",
     "uninitialized-branch": "int main() { int x; if (x) return 1; "
                             "return 0; }",
+    "no-main": "int f(void) { return 1; }",
 }
 
 
@@ -108,6 +109,28 @@ def test_going_wrong_agrees(source):
         decoded = _stream_fingerprint(sem, program, fuel, "decoded")
         assert legacy == decoded, f"{name} disagrees"
         assert legacy[0] == "goes-wrong" and legacy[2], name
+
+
+def test_no_main_goes_wrong_everywhere():
+    """A program without ``main`` goes wrong before its first step, on
+    every level and engine, ASMsz included."""
+    from repro.asm.machine import run_program as run_asm
+    from repro.engines import ASM_ENGINES, SEMANTICS_ENGINES
+    from repro.events.trace import GoesWrong
+
+    compilation = compile_c(WRONG_PROGRAMS["no-main"])
+    for name, sem, attr, fuel in LEVELS:
+        for engine in SEMANTICS_ENGINES:
+            behavior = sem.run_program(getattr(compilation, attr),
+                                       fuel=fuel, engine=engine)
+            assert isinstance(behavior, GoesWrong), (name, engine)
+            assert behavior.reason == "no main function", (name, engine)
+            assert not behavior.trace, (name, engine)
+    for engine in (*ASM_ENGINES, None):
+        behavior, machine = run_asm(compilation.asm, engine=engine)
+        assert isinstance(behavior, GoesWrong), engine
+        assert behavior.reason == "no main function", engine
+        assert machine.steps == 0, engine
 
 
 @pytest.mark.parametrize("source", [
