@@ -11,6 +11,10 @@ server), writes the final ``/metrics`` snapshot to ``--metrics-out``
   content-addressed store;
 * zero 5xx other than the probe's deliberate 503s;
 * every 200 body validates against the response schema;
+* every 200 ``/verify`` body and every ``/batch`` line the client reads
+  is canonical, ``json.dumps(json.loads(text), sort_keys=True) + "\n"``:
+  the daemon splices stored certificate bytes into its answers, and a
+  splice that drifts from the encoder fails here on a live daemon;
 * the codegen warm path: two ``probe`` requests for the same program
   execute at the verified bound on the codegen tier, and the second
   must reuse the compiled code object — exactly one codegen compile in
@@ -62,6 +66,27 @@ SAMPLE = ("mibench/bitcount.c", "mibench/crc32.c",
 RESTART_PROGRAM, RESTART_FLOOR = "mibench/crc32.c", 3.0
 
 
+#: ``(path, text)`` of every 200 answer read, checked at the end (not
+#: inside the timed restart requests).
+ANSWERS: list[tuple[str, str]] = []
+
+
+def _noncanonical() -> list[str]:
+    """The 200 ``/verify`` bodies and ``/batch`` lines read that are not
+    ``json.dumps(json.loads(text), sort_keys=True) + "\n"``."""
+    def canonical(text: str) -> bool:
+        try:
+            return text == json.dumps(json.loads(text),
+                                      sort_keys=True) + "\n"
+        except ValueError:
+            return False
+
+    return [f"{path} {line[:80]!r}" for path, text in ANSWERS
+            for line in (text.splitlines(keepends=True)
+                         if path == "/batch" else [text])
+            if not canonical(line)]
+
+
 def _post_path(port: int, path: str, payload: dict) -> tuple[int, str]:
     request = urllib.request.Request(
         f"http://127.0.0.1:{port}{path}",
@@ -69,9 +94,11 @@ def _post_path(port: int, path: str, payload: dict) -> tuple[int, str]:
         headers={"Content-Type": "application/json"})
     try:
         with urllib.request.urlopen(request, timeout=180) as response:
-            return response.status, response.read().decode()
+            status, text = response.status, response.read().decode()
     except urllib.error.HTTPError as error:
         return error.code, error.read().decode()
+    ANSWERS.append((path, text))
+    return status, text
 
 
 def _post(port: int, payload: dict) -> tuple[int, str]:
@@ -358,6 +385,13 @@ def main(argv=None) -> int:
                             f"the first daemon's {cold['probe']}")
     finally:
         shutil.rmtree(store_dir, ignore_errors=True)
+
+    drift = _noncanonical()
+    print(f"# serve-smoke: {len(ANSWERS)} answers read, "
+          f"{len(drift)} not canonical")
+    if drift:
+        failures.append(f"{len(drift)} answers are not canonical JSON, "
+                        f"first: {drift[0]}")
 
     with open(args.metrics_out, "w") as handle:
         json.dump(snapshot, handle, indent=2, sort_keys=True)

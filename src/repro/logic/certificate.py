@@ -249,8 +249,9 @@ def derivation_from_json(data: Any, body: cl.Stmt) -> dv.Derivation:
 # ---------------------------------------------------------------------------
 
 
-def export_certificate(analysis) -> str:
-    """Serialize an :class:`~repro.analyzer.auto.AnalysisResult` to JSON."""
+def certificate_document(analysis) -> dict:
+    """The certificate of an :class:`~repro.analyzer.auto.AnalysisResult`
+    as a JSON-ready document (what :func:`export_certificate` writes)."""
     functions = {}
     for name, function_analysis in analysis.functions.items():
         body = analysis.program.function(name).body
@@ -276,7 +277,12 @@ def export_certificate(analysis) -> str:
     if domains:
         document["param_domains"] = {name: list(values)
                                      for name, values in domains.items()}
-    return json.dumps(document, indent=1)
+    return document
+
+
+def export_certificate(analysis) -> str:
+    """Serialize an :class:`~repro.analyzer.auto.AnalysisResult` to JSON."""
+    return json.dumps(certificate_document(analysis), indent=1)
 
 
 def _domains_from_json(data: Any) -> dict[str, list[int]] | None:
@@ -307,13 +313,18 @@ def load_certificate(text: str, program: cl.Program):
     statements that do not exist in ``program``, or any derivation fails
     the checker — certificates carry no authority of their own.
     """
-    from repro.logic.checker import (CheckerContext, CheckReport,
-                                     check_function_spec)
-
     try:
         data = json.loads(text)
     except ValueError as error:  # json.JSONDecodeError subclasses ValueError
         raise DerivationError(f"certificate is not valid JSON: {error}")
+    return check_certificate(data, program)
+
+
+def check_certificate(data: Any, program: cl.Program):
+    """:func:`load_certificate` on an already parsed certificate."""
+    from repro.logic.checker import (CheckerContext, CheckReport,
+                                     check_function_spec)
+
     if not isinstance(data, dict):
         raise DerivationError("certificate is not a JSON object")
     if data.get("format") != FORMAT:

@@ -10,38 +10,45 @@ stage     computes                                 keyed by
 frontend  parse + typecheck + Clight lowering      sha256(source, macros)
 backend   Cminor → … → Mach metric ``M(f)``        source × options.key()
 analyze   automatic analyzer → proof certificate   sha256(source, macros)
-check     ``load_certificate`` derivation re-run   sha256(source, macros)
+check     ``check_certificate`` derivation re-run  sha256(source, macros)
 ========  =======================================  =====================
 
 A repeat request hits the store at all four stages; a near-repeat (same
 source, different backend flags) misses only ``backend``.  The analyze
 stage stores the *certificate* — the paper's independently re-checkable
-artifact — and the check stage is literally ``load_certificate`` run
-against the (possibly cached) Clight program, so the trust root of a
-served bound is the same checker that guards the CLI and the campaign.
+artifact — as canonical compact JSON, and the check stage is the
+certificate checker run on those bytes against the (possibly cached)
+Clight program, so the trust root of a served bound is the same checker
+that guards the CLI and the campaign.
 
-The response document is schema'd (:data:`RESPONSE_SCHEMA`) and
-:func:`validate_response` is its executable definition, used by the
-serving fault operators and the smoke gate.
+The certificate is encoded once.  Its stored bytes go into every answer
+unchanged: :func:`splice_json` writes them in the ``certificate``
+member's place of the otherwise ``json.dumps(sort_keys=True)`` response,
+so a request parses the certificate at most once and never re-encodes
+it.  The response document is schema'd (:data:`RESPONSE_SCHEMA`) and
+:func:`validate_response` is its executable definition, run once on each
+document by the process that encodes it, and by the serving fault
+operators and the smoke gate on what arrives.
 """
 
 from __future__ import annotations
 
 import inspect
 import json
+import pickle
 import time
 from collections import OrderedDict
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from repro import obs
 from repro.driver import (CompilerOptions, analyze_clight, compile_clight,
                           compile_frontend)
 from repro.errors import AnalysisError
 from repro.logic.bexpr import INFINITY, evaluate
-from repro.logic.certificate import (bexpr_from_json, export_certificate,
-                                     load_certificate)
-from repro.serve.store import (ResultStore, ServeError, options_digest,
-                               source_digest, stage_key)
+from repro.logic.certificate import (bexpr_from_json, certificate_document,
+                                     check_certificate)
+from repro.serve.store import (ResultStore, ServeError, encode_json,
+                               options_digest, source_digest, stage_key)
 
 #: The stage boundaries, in pipeline order.
 STAGES = ("frontend", "backend", "analyze", "check")
@@ -127,8 +134,9 @@ def _warm_get(key: str) -> Optional[Any]:
     return asm_program
 
 
-def _run_probe(request: ServeRequest, keys: dict[str, str], clight,
-               stack_bytes: int, warm: bool) -> dict:
+def _run_probe(request: ServeRequest, keys: dict[str, str],
+               clight: Callable[[], Any], stack_bytes: int,
+               warm: bool) -> dict:
     """Execute at the verified bound on the codegen tier.
 
     The probe is the serving-path version of the Theorem 1 experiment:
@@ -142,7 +150,7 @@ def _run_probe(request: ServeRequest, keys: dict[str, str], clight,
 
     asm_program = _warm_get(keys["backend"])
     if asm_program is None:
-        asm_program = compile_clight(clight, request.options).asm
+        asm_program = compile_clight(clight(), request.options).asm
         _warm_put(keys["backend"], asm_program)
     codegen_origin = ("warm" if cached_program(asm_program) is not None
                       else "generated")
@@ -164,11 +172,13 @@ def _run_probe(request: ServeRequest, keys: dict[str, str], clight,
     return probe
 
 
-def run_pipeline(request: ServeRequest, store: ResultStore) -> dict:
+def run_pipeline(request: ServeRequest,
+                 store: ResultStore) -> tuple[dict, bytes]:
     """Run (or replay) the full verify pipeline for one request.
 
-    Returns the response payload (see ``docs/SERVING.md``); raises
-    :class:`~repro.errors.ReproError` subclasses for programs the
+    Returns the validated response document (see ``docs/SERVING.md``)
+    and its encoding, equal to ``json.dumps(document, sort_keys=True)``;
+    raises :class:`~repro.errors.ReproError` subclasses for programs the
     pipeline rejects (parse errors, recursion, …) — the server maps
     those to 422 responses.
     """
@@ -182,22 +192,32 @@ def run_pipeline(request: ServeRequest, store: ResultStore) -> dict:
     stages: dict[str, str] = {}
     with store.pinned(*keys.values()):
         with obs.span("serve.pipeline", filename=request.filename):
-            # frontend: parse + typecheck + lower to Clight
-            clight = store.get(keys["frontend"], codec="pickle")
-            if clight is None:
+            # frontend: parse + typecheck + lower to Clight.  The stored
+            # pickle is verified on every request but unpickled only by
+            # a stage that misses or a probe that compiles.
+            pickled = store.get(keys["frontend"], codec="raw")
+            program = None
+            if pickled is None:
                 stages["frontend"] = "miss"
-                clight = compile_frontend(request.source, request.filename,
-                                          request.macros)
-                store.put(keys["frontend"], clight, codec="pickle")
+                program = compile_frontend(request.source, request.filename,
+                                           request.macros)
+                store.put(keys["frontend"], pickle.dumps(program, protocol=4),
+                          codec="raw")
             else:
                 stages["frontend"] = "hit"
+
+            def clight():
+                nonlocal program
+                if program is None:
+                    program = pickle.loads(pickled)
+                return program
 
             # backend: everything later stages need from the compiler —
             # the Mach SF map and the metric M(f) = SF(f) + 4.
             backend = store.get(keys["backend"])
             if backend is None:
                 stages["backend"] = "miss"
-                compilation = compile_clight(clight, request.options)
+                compilation = compile_clight(clight(), request.options)
                 backend = {"frame_sizes": compilation.frame_sizes,
                            "metric": compilation.metric.as_dict(),
                            "main": compilation.asm.main}
@@ -207,30 +227,32 @@ def run_pipeline(request: ServeRequest, store: ResultStore) -> dict:
                 stages["backend"] = "hit"
 
             # analyze: the self-certifying analyzer; what we store is the
-            # certificate, the independently re-checkable artifact.
-            analyze = store.get(keys["analyze"])
-            if analyze is None:
+            # certificate, the independently re-checkable artifact, in
+            # the canonical encoding every answer carries.
+            encoded = store.get(keys["analyze"], codec="raw")
+            if encoded is None:
                 stages["analyze"] = "miss"
-                analysis = analyze_clight(clight)
-                analyze = {"certificate": export_certificate(analysis)}
-                store.put(keys["analyze"], analyze)
+                encoded = encode_json(
+                    certificate_document(analyze_clight(clight())))
+                store.put(keys["analyze"], encoded, codec="raw")
             else:
                 stages["analyze"] = "hit"
-            certificate_text = analyze["certificate"]
+            certificate = json.loads(encoded)
 
-            # check: re-run every derivation through the logic checker.
+            # check: re-run every derivation through the logic checker,
+            # on the bytes the answer carries.
             check = store.get(keys["check"])
             if check is None:
                 stages["check"] = "miss"
-                _gamma, _bounds, report = load_certificate(
-                    certificate_text, clight)
+                _gamma, _bounds, report = check_certificate(certificate,
+                                                            clight())
                 check = {"ok": True, "nodes": report.nodes,
                          "exact": report.fully_exact}
                 store.put(keys["check"], check)
             else:
                 stages["check"] = "hit"
 
-    response = _assemble(request, backend, certificate_text, check, stages)
+    response = _assemble(request, backend, certificate, check, stages)
     if request.probe:
         with obs.span("serve.probe", filename=request.filename):
             response["probe"] = _run_probe(
@@ -239,13 +261,13 @@ def run_pipeline(request: ServeRequest, store: ResultStore) -> dict:
     elapsed = time.perf_counter() - started
     response["elapsed_s"] = round(elapsed, 6)
     obs.observe("serve.pipeline_seconds", elapsed)
-    return validate_response(response)
+    validate_response(response)
+    return response, splice_json(response, "certificate", encoded)
 
 
-def _assemble(request: ServeRequest, backend: dict, certificate_text: str,
+def _assemble(request: ServeRequest, backend: dict, certificate: dict,
               check: dict, stages: dict) -> dict:
     """The response document: concrete bounds under the compiled metric."""
-    certificate = json.loads(certificate_text)
     metric = backend["metric"]
     functions: dict[str, int] = {}
     parametric: list[str] = []
@@ -289,6 +311,22 @@ def error_response(error: Exception) -> dict:
     return {"schema": RESPONSE_SCHEMA, "verdict": "error",
             "kind": type(error).__name__,
             "error": str(error) or type(error).__name__}
+
+
+# ---------------------------------------------------------------------------
+# The wire encoding: canonical JSON with one member spliced in as bytes
+# ---------------------------------------------------------------------------
+
+
+def splice_json(document: dict, key: str, raw: bytes) -> bytes:
+    """``encode_json(document)`` with ``raw``, which must already be the
+    canonical encoding of ``document[key]``, written in that member's
+    place.  ``key`` need not be in ``document``; its value there, if
+    any, is not read."""
+    members = [encode_json(name) + b": "
+               + (raw if name == key else encode_json(document[name]))
+               for name in sorted(document.keys() | {key})]
+    return b"{" + b", ".join(members) + b"}"
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,18 @@ timeout or dies mid-request — a 5xx error response.  A lost worker's
 task is never silently retried (the pipeline is deterministic; the
 client owns the retry decision).
 
+An answer is ``(http_status, warm, body)``: ``body`` is the response
+already encoded (canonical JSON, validated by the process that encoded
+it), so the parent writes it as it is, and ``warm`` says whether every
+pipeline stage replayed from the store.
+
 ``jobs=0`` runs requests in-process (serialized by a lock): no fork, no
 IPC — the mode unit tests and tiny deployments use.
 """
 
 from __future__ import annotations
 
+import json
 import multiprocessing.pool
 import os
 import threading
@@ -36,7 +42,7 @@ from repro import obs
 from repro.errors import ReproError
 from repro.serve.pipeline import ServeRequest, error_response, run_pipeline
 from repro.serve.store import (DEFAULT_MAX_BYTES, ResultStore, ServeError,
-                               options_digest, source_digest)
+                               encode_json, options_digest, source_digest)
 from repro.testing.campaign import pool_warmup
 
 
@@ -44,15 +50,22 @@ class PoolSaturated(ServeError):
     """The in-flight queue is full; the caller should shed load (503)."""
 
 
+#: ``(http_status, warm, encoded body)``: one terminal answer.
+Answer = tuple[int, bool, bytes]
+
+
+def _error(status: int, error: Exception) -> Answer:
+    return status, False, encode_json(error_response(error))
+
+
 class _Flight:
     """One in-flight single-flight computation and its terminal answer."""
 
-    __slots__ = ("done", "status", "body", "saturated")
+    __slots__ = ("done", "answer", "saturated")
 
     def __init__(self) -> None:
         self.done = threading.Event()
-        self.status: Optional[int] = None
-        self.body: Optional[dict] = None
+        self.answer: Optional[Answer] = None
         self.saturated = False
 
 
@@ -79,8 +92,8 @@ def _apply_chaos(chaos: Optional[str]) -> None:
         time.sleep(float(chaos.split(":", 1)[1]))
 
 
-def _execute(payload: dict, store: ResultStore) -> tuple[int, dict]:
-    """Run one request against a store; returns ``(http_status, body)``."""
+def _execute(payload: dict, store: ResultStore) -> Answer:
+    """Run one request against a store."""
     _apply_chaos(payload.get("chaos"))
     request = ServeRequest(source=payload["source"],
                            filename=payload["filename"],
@@ -88,16 +101,18 @@ def _execute(payload: dict, store: ResultStore) -> tuple[int, dict]:
                            options=_options_from_key(payload["options"]),
                            probe=bool(payload.get("probe", False)))
     try:
-        return 200, run_pipeline(request, store)
+        document, body = run_pipeline(request, store)
     except ReproError as error:
         obs.add("serve.pipeline.rejected")
-        return 422, error_response(error)
+        return _error(422, error)
     except Exception as error:
         # A bug, not a verdict: logged, and counted apart from lost
         # workers (``serve.worker_failures``), since this one survives.
+        # A document failing its own schema lands here too.
         traceback.print_exc(limit=-8)
         obs.add("serve.internal_errors")
-        return 500, error_response(error)
+        return _error(500, error)
+    return 200, set(document["stages"].values()) == {"hit"}, body
 
 
 def _options_from_key(items: list) -> "CompilerOptions":
@@ -106,7 +121,7 @@ def _options_from_key(items: list) -> "CompilerOptions":
     return CompilerOptions(**dict(items))
 
 
-def _serve_worker(payload: dict) -> tuple[int, dict, Optional[dict]]:
+def _serve_worker(payload: dict) -> tuple[Answer, Optional[dict]]:
     """Pool worker: one request, instrumented, delta shipped back.
 
     Mirrors the campaign's ``_check_one``: enable obs, discard state
@@ -119,12 +134,12 @@ def _serve_worker(payload: dict) -> tuple[int, dict, Optional[dict]]:
     obs.drain_spans()
     store = _worker_store(payload["store_root"], payload["store_max_bytes"])
     with obs.span("serve.request", filename=payload["filename"]) as span:
-        status, body = _execute(payload, store)
-        span.set(status=status)
+        answer = _execute(payload, store)
+        span.set(status=answer[0])
     pid = os.getpid()
     obs.set_gauge(f"serve.worker.{pid}.heartbeat", time.time())
     obs.add(f"serve.worker.{pid}.requests")
-    return status, body, obs.drain_metrics()
+    return answer, obs.drain_metrics()
 
 
 class ServePool:
@@ -168,15 +183,15 @@ class ServePool:
     def submit(self, source: str, filename: str = "<request>",
                macros: Optional[dict[str, str]] = None,
                options=None, chaos: Optional[str] = None,
-               probe: bool = False, block: bool = False) -> tuple[int, dict]:
-        """Run one request; returns ``(http_status, response_body)``.
+               probe: bool = False, block: bool = False) -> Answer:
+        """Run one request; returns ``(http_status, warm, body)``.
 
         **Single-flight:** concurrent submits with an identical
         ``(source, macros, options, probe)`` identity collapse onto one
         in-flight computation — the first caller (the *leader*) runs the
         pipeline, every later caller (a *follower*) waits on the
-        leader's answer and receives a copy with a ``collapsed: true``
-        marker, consuming no pool slot and no worker
+        leader's answer and receives its body with a ``collapsed: true``
+        member added, consuming no pool slot and no worker
         (``serve.singleflight.{leaders,followers}`` count both roles).
         Requests carrying a ``chaos`` hook bypass collapsing — fault
         injection must reach the worker it targets.
@@ -209,10 +224,9 @@ class ServePool:
             return self._follow(flight)
         obs.add("serve.singleflight.leaders")
         try:
-            status, body = self._dispatch(source, filename, macros,
-                                          options, chaos, probe, block)
-            flight.status, flight.body = status, body
-            return status, body
+            flight.answer = self._dispatch(source, filename, macros,
+                                           options, chaos, probe, block)
+            return flight.answer
         except PoolSaturated:
             flight.saturated = True
             raise
@@ -221,29 +235,29 @@ class ServePool:
                 self._flights.pop(key, None)
             flight.done.set()
 
-    def _follow(self, flight: _Flight) -> tuple[int, dict]:
-        """Wait out a leader's computation and copy its answer."""
+    def _follow(self, flight: _Flight) -> Answer:
+        """Wait out a leader's computation and mark its answer collapsed."""
         obs.add("serve.singleflight.followers")
         if not flight.done.wait(self.timeout_s + 30.0):
             obs.add("serve.timeouts")
-            return 504, error_response(ServeError(
+            return _error(504, ServeError(
                 "collapsed request: the leading computation exceeded "
                 f"the {self.timeout_s:.0f}s budget"))
         if flight.saturated:
             obs.add("serve.rejected")
             raise PoolSaturated(
                 f"all {self.queue_depth} in-flight slots are taken")
-        if flight.status is None:
-            return 500, error_response(ServeError(
+        if flight.answer is None:
+            return _error(500, ServeError(
                 "collapsed request: the leading computation failed"))
-        body = dict(flight.body or {})
-        body["collapsed"] = True
-        return flight.status, body
+        status, warm, body = flight.answer
+        return status, warm, encode_json({**json.loads(body),
+                                          "collapsed": True})
 
     def _dispatch(self, source: str, filename: str,
                   macros: Optional[dict[str, str]], options,
                   chaos: Optional[str], probe: bool,
-                  block: bool) -> tuple[int, dict]:
+                  block: bool) -> Answer:
         """Slot accounting + worker dispatch for one uncollapsed request."""
         if not self._slots.acquire(blocking=block,
                                    timeout=self.timeout_s if block
@@ -268,20 +282,20 @@ class ServePool:
                     return _execute(payload, store)
             result = self._pool.apply_async(_serve_worker, (payload,))
             try:
-                status, body, delta = result.get(self.timeout_s)
+                answer, delta = result.get(self.timeout_s)
             except multiprocessing.TimeoutError:
                 obs.add("serve.timeouts")
-                return 504, error_response(ServeError(
+                return _error(504, ServeError(
                     f"request exceeded the {self.timeout_s:.0f}s budget "
                     "or its worker died mid-request"))
             except Exception as error:  # worker lost without a result
                 obs.add("serve.worker_failures")
-                return 500, error_response(ServeError(
+                return _error(500, ServeError(
                     f"worker failed: {type(error).__name__}: {error}"))
             if delta is not None:
                 with self._merge_lock:
                     obs.merge(delta)
-            return status, body
+            return answer
         finally:
             with self._state_lock:
                 self._inflight -= 1

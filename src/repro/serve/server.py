@@ -46,11 +46,11 @@ from typing import Optional
 
 from repro import obs
 from repro.obs.export import metrics_document
-from repro.serve.pipeline import (ServeRequest, error_response,
-                                  options_from_json, validate_response)
+from repro.serve.pipeline import (error_response, options_from_json,
+                                  splice_json)
 from repro.serve.pool import PoolSaturated, ServePool
-from repro.serve.store import (DEFAULT_MAX_BYTES, ServeError, options_digest,
-                               source_digest)
+from repro.serve.store import (DEFAULT_MAX_BYTES, ServeError, encode_json,
+                               options_digest, source_digest)
 
 #: Where the daemon keeps its result store by default (a sibling of the
 #: campaign's corpus cache).
@@ -106,14 +106,18 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _send_json(self, status: int, payload: dict,
                    headers: Optional[dict] = None) -> None:
-        body = (json.dumps(payload, sort_keys=True) + "\n").encode()
+        self._send_body(status, encode_json(payload), headers)
+
+    def _send_body(self, status: int, body: bytes,
+                   headers: Optional[dict] = None) -> None:
+        """Send one encoded JSON document as it is, plus a newline."""
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
+        self.send_header("Content-Length", str(len(body) + 1))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
         self.end_headers()
-        self.wfile.write(body)
+        self.wfile.write(body + b"\n")
         obs.add(f"serve.responses.{status}")
 
     # -- GET ---------------------------------------------------------------
@@ -147,14 +151,13 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(400, error_response(error))
             return
         try:
-            status, body = self._srv.pool.submit(**fields)
+            status, warm, body = self._srv.pool.submit(**fields)
         except PoolSaturated as error:
             self._send_json(503, error_response(error),
                             headers={"Retry-After": str(RETRY_AFTER_S)})
             return
-        status, body = _self_check(status, body)
-        self._send_json(status, body)
-        _observe_request(started, status, body)
+        self._send_body(status, body)
+        _observe_request(started, status, warm)
 
     # -- POST /batch -------------------------------------------------------
 
@@ -197,20 +200,21 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Type", "application/x-ndjson")
         self.send_header("Transfer-Encoding", "chunked")
         self.end_headers()
-        self._send_chunk({"schema": BATCH_SCHEMA, "items": len(items),
-                          "unique": len(representatives)})
+        self._send_chunk(encode_json({"schema": BATCH_SCHEMA,
+                                      "items": len(items),
+                                      "unique": len(representatives)}))
 
-        answers: "queue.Queue[tuple[int, int, dict]]" = queue.Queue()
+        answers: "queue.Queue[tuple[int, int, bytes]]" = queue.Queue()
 
         def run_one(index: int) -> None:
             item_started = time.perf_counter()
             try:
-                status, body = self._srv.pool.submit(
+                status, warm, body = self._srv.pool.submit(
                     block=True, **items[index])
             except PoolSaturated as error:
-                status, body = 503, error_response(error)
-            status, body = _self_check(status, body)
-            _observe_request(item_started, status, body)
+                status, warm, body = (503, False,
+                                      encode_json(error_response(error)))
+            _observe_request(item_started, status, warm)
             answers.put((index, status, body))
 
         threads = [threading.Thread(target=run_one, args=(index,),
@@ -223,23 +227,22 @@ class _Handler(BaseHTTPRequestHandler):
             followers.setdefault(representative, []).append(index)
         for _ in range(len(representatives)):
             index, status, body = answers.get()
-            self._send_chunk({"index": index, "status": status,
-                              "body": body})
+            self._send_chunk(splice_json({"index": index, "status": status},
+                                         "body", body))
             for duplicate in followers.get(index, ()):
-                self._send_chunk({"index": duplicate, "status": status,
-                                  "duplicate_of": index, "body": body})
+                self._send_chunk(splice_json(
+                    {"index": duplicate, "status": status,
+                     "duplicate_of": index}, "body", body))
         for thread in threads:
             thread.join(1.0)
-        self._send_chunk({"done": True})
+        self._send_chunk(encode_json({"done": True}))
         self.wfile.write(b"0\r\n\r\n")
         obs.add("serve.responses.200")
         obs.observe("serve.batch_seconds", time.perf_counter() - started)
 
-    def _send_chunk(self, payload: dict) -> None:
-        data = (json.dumps(payload, sort_keys=True) + "\n").encode()
-        self.wfile.write(f"{len(data):X}\r\n".encode())
-        self.wfile.write(data)
-        self.wfile.write(b"\r\n")
+    def _send_chunk(self, line: bytes) -> None:
+        """Send one encoded NDJSON line as one chunk."""
+        self.wfile.write(b"%X\r\n%s\n\r\n" % (len(line) + 1, line))
 
     def _read_body(self) -> Optional[bytes]:
         """The request body, or ``None`` once a bad length is answered:
@@ -334,18 +337,7 @@ def _request_fields(data) -> dict:
             "probe": bool(data.get("probe", False))}
 
 
-def _self_check(status: int, body: dict) -> tuple[int, dict]:
-    """Validate a 200 body before the bytes leave the process: a
-    response that fails its own schema is a 500, not a client surprise."""
-    if status == 200:
-        try:
-            validate_response(body)
-        except ValueError as error:
-            return 500, error_response(ServeError(str(error)))
-    return status, body
-
-
-def _observe_request(started: float, status: int, body: dict) -> None:
+def _observe_request(started: float, status: int, warm: bool) -> None:
     """Latency telemetry for one answered request.
 
     ``serve.request_seconds`` keeps the whole population;
@@ -358,9 +350,6 @@ def _observe_request(started: float, status: int, body: dict) -> None:
     elapsed = time.perf_counter() - started
     obs.observe("serve.request_seconds", elapsed)
     if status == 200:
-        stages = body.get("stages") or {}
-        warm = bool(stages) and all(outcome == "hit"
-                                    for outcome in stages.values())
         obs.observe("serve.warm_seconds" if warm
                     else "serve.cold_seconds", elapsed)
 

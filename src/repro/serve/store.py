@@ -15,28 +15,30 @@ an artifact store holding the actual stage outputs, keyed by content:
   checker remains the trust root, and a cache can only replay what some
   earlier request verified *under the same key*.
 * **entries are integrity-checked** — each entry carries a sha256 of its
-  encoded payload; a corrupted, truncated or cross-key-substituted entry
-  is detected on ``get``, dropped, counted (``store.poisoned``) and
+  stored payload bytes; a corrupted, truncated or cross-key-substituted
+  entry is detected on ``get``, dropped, counted (``store.poisoned``) and
   recomputed by the caller.  A poisoned entry is never returned.
 * **eviction is size-capped and pin-aware** — the store evicts
   least-recently-used entries once ``max_bytes`` is exceeded, but never
   an entry pinned by an in-flight request.
 
-Two backings share one wire format (a JSON wrapper around a JSON or
-base64-pickle payload): a directory (shared by the worker pool across
-processes; writes are atomic ``os.replace``) or process memory (tests,
-``--no-store``).  This is corruption *detection*, not a security
-boundary: the store directory is the same local trust domain as the
-campaign's corpus cache.
+An entry is one JSON header line (schema, key, codec, sha256) followed
+by the payload bytes, which ``get`` hashes as read and decodes once.  The
+``json`` codec stores canonical JSON (``sort_keys``) and returns the
+parsed value; the ``raw`` codec stores bytes the caller encoded itself
+(a pickled program, a certificate already in canonical JSON) and
+returns them verified, undecoded.  Two backings share that format: a
+directory (shared by the worker pool across processes; writes are
+atomic ``os.replace``) or process memory (tests, ``--no-store``).  This
+is corruption *detection*, not a security boundary: the store directory
+is the same local trust domain as the campaign's corpus cache.
 """
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
 import os
-import pickle
 import threading
 from typing import Any, Iterator, Optional
 
@@ -44,7 +46,7 @@ from repro import obs
 from repro.errors import ReproError
 
 #: Store entry schema identifier (bump on incompatible changes).
-STORE_SCHEMA = "repro.serve.store/1"
+STORE_SCHEMA = "repro.serve.store/2"
 
 #: Default on-disk budget: generous for a daemon, bounded for a laptop.
 DEFAULT_MAX_BYTES = 256 << 20
@@ -86,6 +88,15 @@ def stage_key(stage: str, src_digest: str,
     return f"{stage}:{src_digest}:{opt_digest}"
 
 
+def encode_json(value: Any) -> bytes:
+    """The canonical encoding of one JSON value: sorted keys, no indent.
+
+    The ``json`` codec stores it, and every serve answer is written in
+    it, which is what lets stored bytes be spliced into an answer.
+    """
+    return json.dumps(value, sort_keys=True).encode()
+
+
 def _stage_of(key: str) -> str:
     return key.split(":", 1)[0]
 
@@ -103,7 +114,7 @@ class ResultStore:
         self.root = root
         self.max_bytes = max_bytes
         self._lock = threading.RLock()
-        self._memory: dict[str, str] = {}
+        self._memory: dict[str, bytes] = {}
         self._clock = 0                    # memory-mode LRU ticks
         self._stamps: dict[str, int] = {}
         self._pins: dict[str, int] = {}
@@ -113,39 +124,34 @@ class ResultStore:
     # -- encoding ----------------------------------------------------------
 
     @staticmethod
-    def _encode(payload: Any, codec: str) -> tuple[Any, str]:
-        """``(wire_payload, sha256)`` for one payload under one codec."""
+    def _encode(payload: Any, codec: str) -> bytes:
+        """The stored bytes of one payload under one codec."""
         if codec == "json":
-            canon = json.dumps(payload, sort_keys=True).encode()
-            return payload, hashlib.sha256(canon).hexdigest()
-        if codec == "pickle":
-            raw = pickle.dumps(payload, protocol=4)
-            return (base64.b64encode(raw).decode("ascii"),
-                    hashlib.sha256(raw).hexdigest())
-        raise ValueError(f"unknown store codec {codec!r}")
+            return encode_json(payload)
+        if codec == "raw" and isinstance(payload, bytes):
+            return payload
+        raise ValueError(f"cannot store a {type(payload).__name__} "
+                         f"under codec {codec!r}")
 
     @staticmethod
-    def _decode(entry: dict, key: str, codec: str) -> Any:
+    def _decode(entry: bytes, key: str, codec: str) -> Any:
         """Verify and decode one entry; raises ``ValueError`` if poisoned."""
-        if entry.get("schema") != STORE_SCHEMA:
-            raise ValueError(f"schema {entry.get('schema')!r}")
-        if entry.get("key") != key:
+        line, newline, data = entry.partition(b"\n")
+        if not newline:
+            raise ValueError("no header line")
+        header = json.loads(line)
+        if not isinstance(header, dict):
+            raise ValueError("header is not an object")
+        if header.get("schema") != STORE_SCHEMA:
+            raise ValueError(f"schema {header.get('schema')!r}")
+        if header.get("key") != key:
             raise ValueError(
-                f"entry was written for key {entry.get('key')!r}")
-        if entry.get("codec") != codec:
-            raise ValueError(f"codec {entry.get('codec')!r} != {codec!r}")
-        payload = entry.get("payload")
-        if codec == "json":
-            canon = json.dumps(payload, sort_keys=True).encode()
-            digest = hashlib.sha256(canon).hexdigest()
-        else:
-            raw = base64.b64decode(payload.encode("ascii"))
-            digest = hashlib.sha256(raw).hexdigest()
-        if digest != entry.get("sha256"):
+                f"entry was written for key {header.get('key')!r}")
+        if header.get("codec") != codec:
+            raise ValueError(f"codec {header.get('codec')!r} != {codec!r}")
+        if hashlib.sha256(data).hexdigest() != header.get("sha256"):
             raise ValueError("payload hash mismatch")
-        if codec == "json":
-            return payload
-        return pickle.loads(raw)
+        return json.loads(data) if codec == "json" else data
 
     # -- raw entry access (also the fault-injection seam) ------------------
 
@@ -155,27 +161,27 @@ class ResultStore:
                             hashlib.sha256(key.encode()).hexdigest()
                             + ".json")
 
-    def raw_read(self, key: str) -> Optional[str]:
-        """The stored wire text of one entry (fault-injection seam)."""
+    def raw_read(self, key: str) -> Optional[bytes]:
+        """The stored bytes of one entry (fault-injection seam)."""
         with self._lock:
             if self.root is None:
                 return self._memory.get(key)
             try:
-                with open(self._path(key)) as handle:
+                with open(self._path(key), "rb") as handle:
                     return handle.read()
             except OSError:
                 return None
 
-    def raw_write(self, key: str, text: str) -> None:
-        """Overwrite one entry's wire text verbatim (fault-injection seam)."""
+    def raw_write(self, key: str, entry: bytes) -> None:
+        """Overwrite one entry's bytes verbatim (fault-injection seam)."""
         with self._lock:
             if self.root is None:
-                self._memory[key] = text
+                self._memory[key] = entry
                 self._touch(key)
                 return
             tmp = self._path(key) + f".tmp{os.getpid()}"
-            with open(tmp, "w") as handle:
-                handle.write(text)
+            with open(tmp, "wb") as handle:
+                handle.write(entry)
             os.replace(tmp, self._path(key))
 
     def _discard(self, key: str) -> None:
@@ -210,13 +216,13 @@ class ResultStore:
         it.  Hits refresh the entry's LRU stamp.
         """
         stage = _stage_of(key)
-        text = self.raw_read(key)
-        if text is None:
+        entry = self.raw_read(key)
+        if entry is None:
             obs.add(f"store.{stage}.misses")
             obs.add("store.misses")
             return None
         try:
-            payload = self._decode(json.loads(text), key, codec)
+            payload = self._decode(entry, key, codec)
         except Exception:
             self._discard(key)
             obs.add("store.poisoned")
@@ -235,11 +241,11 @@ class ResultStore:
         Writes are atomic (temp file + ``os.replace``), so concurrent
         workers racing on the same key both leave a valid entry.
         """
-        wire, digest = self._encode(payload, codec)
-        text = json.dumps({"schema": STORE_SCHEMA, "key": key,
-                           "codec": codec, "sha256": digest,
-                           "payload": wire})
-        self.raw_write(key, text)
+        data = self._encode(payload, codec)
+        header = json.dumps({"schema": STORE_SCHEMA, "key": key,
+                             "codec": codec,
+                             "sha256": hashlib.sha256(data).hexdigest()})
+        self.raw_write(key, header.encode() + b"\n" + data)
         obs.add(f"store.{_stage_of(key)}.puts")
         self._evict_if_needed()
         return payload
@@ -280,8 +286,8 @@ class ResultStore:
         """``(handle, size, lru_stamp)`` per entry; handle is key (memory)
         or path (disk)."""
         if self.root is None:
-            for key, text in self._memory.items():
-                yield key, len(text), self._stamps.get(key, 0)
+            for key, entry in self._memory.items():
+                yield key, len(entry), self._stamps.get(key, 0)
             return
         try:
             names = os.listdir(self.root)

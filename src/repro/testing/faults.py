@@ -654,7 +654,7 @@ def _stale_cache_entry() -> tuple[bool, str, str]:
     if store.get(key) is not None:
         return False, "", "stale substituted entry was served"
     # The poisoned entry must also be *recomputed*, not just refused.
-    response = run_pipeline(request, store)
+    response, _body = run_pipeline(request, store)
     if response["stages"]["analyze"] != "miss":
         return False, "", "poisoned entry not recomputed"
     return (True, "store-integrity",
@@ -668,10 +668,10 @@ def _response_truncate() -> tuple[bool, str, str]:
                                       validate_response_text)
     from repro.serve.store import ResultStore
 
-    response = run_pipeline(ServeRequest(_SERVE_SOURCE,
-                                         filename="serve-fault.c"),
-                            ResultStore(root=None))
-    text = json.dumps(response)
+    _response, body = run_pipeline(ServeRequest(_SERVE_SOURCE,
+                                                filename="serve-fault.c"),
+                                   ResultStore(root=None))
+    text = body.decode()
     try:
         validate_response_text(text[:len(text) // 2])
     except ValueError as error:
@@ -686,14 +686,16 @@ def _worker_death() -> tuple[bool, str, str]:
 
     pool = ServePool(jobs=1, queue_depth=2, timeout_s=3.0, store_root=None)
     try:
-        status, body = pool.submit(_SERVE_SOURCE, filename="serve-fault.c",
-                                   chaos="die")
+        status, _warm, body = pool.submit(_SERVE_SOURCE,
+                                          filename="serve-fault.c",
+                                          chaos="die")
     finally:
         pool.close()
-    if status >= 500 and body.get("verdict") == "error":
-        return True, "request-timeout", body["error"]
+    answer = json.loads(body)
+    if status >= 500 and answer.get("verdict") == "error":
+        return True, "request-timeout", answer["error"]
     return False, "", (f"lost worker produced status {status}: "
-                       f"{body.get('verdict')!r}")
+                       f"{answer.get('verdict')!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ The acceptance contract, executable:
 * a saturated queue answers 503 with ``Retry-After`` and never drops a
   request it accepted;
 * bad input is answered at once, and never costs a worker;
+* every body on the wire is the canonical encoding of its document,
+  the certificate spliced in as stored included;
 * ``SIGTERM`` drains in-flight requests and exits 0 (subprocess test).
 """
 
@@ -50,18 +52,29 @@ REPO = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
 
 
-def _post(port: int, payload: dict, timeout: float = 120.0):
-    """POST /verify; returns ``(status, body_dict, headers)``."""
+def _post_text(port: int, path: str, payload: dict,
+               timeout: float = 120.0) -> tuple[int, str, dict]:
+    """POST ``payload`` to ``path``; returns ``(status, text, headers)``."""
     request = urllib.request.Request(
-        f"http://127.0.0.1:{port}/verify",
+        f"http://127.0.0.1:{port}{path}",
         data=json.dumps(payload).encode(),
         headers={"Content-Type": "application/json"})
     try:
         with urllib.request.urlopen(request, timeout=timeout) as response:
-            return response.status, json.loads(response.read()), \
+            return response.status, response.read().decode(), \
                 dict(response.headers)
     except urllib.error.HTTPError as error:
-        return error.code, json.loads(error.read()), dict(error.headers)
+        return error.code, error.read().decode(), dict(error.headers)
+
+
+def _post(port: int, payload: dict, timeout: float = 120.0):
+    """POST /verify; returns ``(status, body_dict, headers)``."""
+    status, text, headers = _post_text(port, "/verify", payload, timeout)
+    return status, json.loads(text), headers
+
+
+def _canonical(text: str) -> str:
+    return json.dumps(json.loads(text), sort_keys=True) + "\n"
 
 
 def _get(port: int, path: str) -> dict:
@@ -106,13 +119,9 @@ def _pipeline_stats(port: int) -> dict[str, float]:
 def _post_batch(port: int, items: list[dict],
                 timeout: float = 180.0) -> list[dict]:
     """POST /batch; returns the parsed NDJSON lines."""
-    request = urllib.request.Request(
-        f"http://127.0.0.1:{port}/batch",
-        data=json.dumps({"items": items}).encode(),
-        headers={"Content-Type": "application/json"})
-    with urllib.request.urlopen(request, timeout=timeout) as response:
-        assert response.status == 200
-        text = response.read().decode()
+    status, text, _headers = _post_text(port, "/batch", {"items": items},
+                                        timeout)
+    assert status == 200, text
     return [json.loads(line) for line in text.splitlines()]
 
 
@@ -403,6 +412,85 @@ class TestMetricsDoc:
                 name = re.sub(r"\.hit_rate$", ".hits",
                               re.sub(r"<[^>]*>", "<>", token))
                 assert name in literals, f"{path} names {token}"
+
+
+class TestWireBytes:
+    """Every body is ``json.dumps(sort_keys=True)`` of its document,
+    in-process and through a worker, cold, warm, batched and collapsed."""
+
+    PROGRAMS = ("mibench/crc32.c", "funcptr/dispatch.c",
+                "recursive/fact_sq.c")
+
+    @pytest.fixture(scope="class", params=[0, 1], ids=["inline", "pool"])
+    def wire_server(self, request):
+        config = ServeConfig(port=0, jobs=request.param, queue_depth=8,
+                             timeout_s=120.0, store_root=None,
+                             allow_chaos=True)
+        daemon = BoundsServer(config)
+        daemon.start_background()
+        yield daemon
+        assert daemon.stop(drain_timeout_s=30.0)
+
+    @staticmethod
+    def _collapsed_burst(server, item: dict, burst: int = 3) -> list[str]:
+        """Bodies of ``burst`` identical requests sent while a chaos sleep
+        holds the only executor, so all but the leader collapse."""
+        port = server.bound_port
+        sleeper = threading.Thread(target=_post_text, args=(
+            port, "/verify",
+            {"source": "int main(void) { return 0; }",
+             "chaos": "sleep:1.0"}))
+        sleeper.start()
+        deadline = time.monotonic() + 30.0
+        while server.pool.inflight == 0 and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert server.pool.inflight == 1, "the sleep never took its slot"
+        answers: list = [None] * burst
+
+        def client(index: int) -> None:
+            answers[index] = _post_text(port, "/verify", item)
+
+        threads = [threading.Thread(target=client, args=(index,))
+                   for index in range(burst)]
+        for thread in threads:
+            thread.start()
+        for thread in threads + [sleeper]:
+            thread.join(180)
+            assert not thread.is_alive(), "a client never got an answer"
+        assert all(status == 200 for status, _text, _h in answers), answers
+        return [text for _status, text, _headers in answers]
+
+    @pytest.mark.parametrize("path", PROGRAMS)
+    def test_every_body_is_canonical(self, wire_server, path):
+        port = wire_server.bound_port
+        item = {"source": load_source(path), "filename": path}
+        (cold_status, cold, _h), (warm_status, warm, _h) = (
+            _post_text(port, "/verify", item) for _ in range(2))
+        assert (cold_status, warm_status) == (200, 200)
+        assert cold == _canonical(cold) and warm == _canonical(warm)
+        cold_doc, warm_doc = json.loads(cold), json.loads(warm)
+        assert set(cold_doc["stages"].values()) == {"miss"}
+        assert set(warm_doc["stages"].values()) == {"hit"}
+        for volatile in ("stages", "elapsed_s"):
+            del cold_doc[volatile], warm_doc[volatile]
+        assert cold_doc == warm_doc
+
+        status, batch, _headers = _post_text(port, "/batch",
+                                             {"items": [item, dict(item)]})
+        assert status == 200
+        lines = batch.splitlines(keepends=True)
+        assert all(line == _canonical(line) for line in lines)
+        results = [json.loads(line) for line in lines[1:-1]]
+        assert [line.get("duplicate_of") for line in results] == [None, 0]
+        assert results[0]["body"] == results[1]["body"]
+
+        bodies = self._collapsed_burst(
+            wire_server, dict(item, macros={"X_WIRE_BURST": path}))
+        assert all(text == _canonical(text) for text in bodies)
+        documents = [json.loads(text) for text in bodies]
+        followers = [doc for doc in documents if doc.pop("collapsed", None)]
+        assert len(followers) == len(documents) - 1
+        assert all(doc == documents[0] for doc in documents)
 
 
 class TestHealthz:

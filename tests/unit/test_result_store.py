@@ -8,22 +8,31 @@ What these pin down, per the store's contract:
   stages share keys across flag flips — which is exactly the partial-hit
   property;
 * **integrity** — a corrupted, truncated, or cross-key-substituted
-  entry is detected on ``get``, counted, dropped, and never returned;
-  the caller's recompute repairs the store;
+  entry, or one in an older entry format, is detected on ``get``,
+  counted, dropped, and never returned; the caller's recompute repairs
+  the store;
+* **one certificate** — the pipeline hands out the certificate
+  ``certify`` writes, and unpickles the stored Clight program only for
+  a stage that misses;
 * **eviction** — the size cap is honored, pinned (in-flight) entries
   are never evicted, unpinned entries go oldest-first.
 """
 
 from __future__ import annotations
 
+import base64
+import hashlib
 import inspect
 import itertools
 import json
+import pickle
 
 import pytest
 
 from repro import obs
-from repro.driver import CompilerOptions
+from repro.driver import CompilerOptions, analyze_clight, compile_frontend
+from repro.logic.certificate import export_certificate
+from repro.programs.loader import load_source
 from repro.serve import (STAGES, ResultStore, ServeRequest, options_digest,
                          run_pipeline, source_digest, stage_key)
 
@@ -48,6 +57,24 @@ def metrics():
 
 def _counter(name: str) -> float:
     return obs.snapshot()["counters"].get(name, 0)
+
+
+#: A small program the pipeline tests verify.
+SOURCE = "int f(void) { return 1; } int main(void) { return f(); }"
+
+
+def _v1_entry(key: str, payload, codec: str) -> bytes:
+    """An entry as the ``repro.serve.store/1`` format wrote it: one JSON
+    wrapper around a JSON or base64-pickle payload."""
+    if codec == "json":
+        wire, raw = payload, json.dumps(payload, sort_keys=True).encode()
+    else:
+        raw = pickle.dumps(payload, protocol=4)
+        wire = base64.b64encode(raw).decode("ascii")
+    return json.dumps({"schema": "repro.serve.store/1", "key": key,
+                       "codec": codec,
+                       "sha256": hashlib.sha256(raw).hexdigest(),
+                       "payload": wire}).encode()
 
 
 class TestKeys:
@@ -93,17 +120,30 @@ class TestKeys:
 
 class TestRoundTrip:
     @pytest.mark.parametrize("root", ["memory", "disk"])
-    def test_json_and_pickle_codecs(self, root, tmp_path, metrics):
+    def test_json_and_raw_codecs(self, root, tmp_path, metrics):
         store = ResultStore(None if root == "memory" else str(tmp_path))
         payload = {"frame_sizes": {"main": 16}, "metric": {"main": 20}}
         store.put("backend:abc:def", payload)
         assert store.get("backend:abc:def") == payload
-        blob = {"nested": (1, 2, {"three"})}        # not JSON-able
-        store.put("frontend:abc", blob, codec="pickle")
-        assert store.get("frontend:abc", codec="pickle") == blob
+        blob = pickle.dumps({"nested": (1, 2, {"three"})})   # not JSON-able
+        store.put("frontend:abc", blob, codec="raw")
+        assert store.get("frontend:abc", codec="raw") == blob
         assert _counter("store.backend.hits") == 1
         assert _counter("store.frontend.hits") == 1
         assert _counter("store.poisoned") == 0
+
+    def test_entry_is_a_header_line_and_the_payload_bytes(self):
+        store = ResultStore()
+        store.put("analyze:abc", b'{"functions": {}}', codec="raw")
+        line, newline, data = store.raw_read("analyze:abc").partition(b"\n")
+        assert (newline, data) == (b"\n", b'{"functions": {}}')
+        assert json.loads(line) == {
+            "schema": "repro.serve.store/2", "key": "analyze:abc",
+            "codec": "raw", "sha256": hashlib.sha256(data).hexdigest()}
+
+    def test_raw_codec_stores_bytes_only(self):
+        with pytest.raises(ValueError):
+            ResultStore().put("analyze:abc", {"x": 1}, codec="raw")
 
     @pytest.mark.parametrize("root", ["memory", "disk"])
     def test_miss_is_counted_per_stage(self, root, tmp_path, metrics):
@@ -121,9 +161,9 @@ class TestPoisonDetection:
         store = ResultStore(None if root == "memory" else str(tmp_path))
         key = "backend:abc:def"
         store.put(key, {"value": 1})
-        entry = json.loads(store.raw_read(key))
-        entry["payload"] = {"value": 2}             # flip without re-hashing
-        store.raw_write(key, json.dumps(entry))
+        header, newline, data = store.raw_read(key).partition(b"\n")
+        # Flip one payload byte under the unchanged header.
+        store.raw_write(key, header + newline + data.replace(b"1", b"2"))
         assert store.get(key) is None
         assert _counter("store.poisoned") == 1
         # The entry is gone: a fresh put repairs the store.
@@ -150,9 +190,26 @@ class TestPoisonDetection:
         assert _counter("store.poisoned") == 1
         assert store.get("analyze:bbb") == {"certificate": "B"}
 
+    @pytest.mark.parametrize("codec, payload, poison", [
+        ("json", {"ok": True},
+         lambda key, entry: _v1_entry(key, {"ok": True}, "json")),
+        ("json", {"ok": True},
+         lambda key, entry: entry.replace(b"\n", b"", 1)),
+        ("raw", b"\x80\x04stored bytes",
+         lambda key, entry: entry[:-1] + bytes([entry[-1] ^ 1])),
+    ], ids=["v1-format", "header-without-newline", "raw-byte-flipped"])
+    def test_malformed_entry(self, codec, payload, poison, metrics):
+        store = ResultStore()
+        store.put("check:abc", payload, codec=codec)
+        store.raw_write("check:abc",
+                        poison("check:abc", store.raw_read("check:abc")))
+        assert store.get("check:abc", codec=codec) is None
+        assert _counter("store.poisoned") == 1
+        assert "check:abc" not in store
+
     def test_wrong_codec_is_poison(self, metrics):
         store = ResultStore()
-        store.put("frontend:abc", {"x": 1}, codec="pickle")
+        store.put("frontend:abc", b"{}", codec="raw")
         assert store.get("frontend:abc", codec="json") is None
         assert _counter("store.poisoned") == 1
 
@@ -160,16 +217,92 @@ class TestPoisonDetection:
         # End to end: poison the analyze entry of a warmed pipeline and
         # re-run — the stage recomputes and the answer is unchanged.
         store = ResultStore()
-        request = ServeRequest("int f(void) { return 1; } "
-                               "int main(void) { return f(); }")
-        first = run_pipeline(request, store)
+        request = ServeRequest(SOURCE)
+        first, _body = run_pipeline(request, store)
         key = request.keys()["analyze"]
         store.raw_write(key, store.raw_read(key)[:-10])
-        second = run_pipeline(request, store)
+        second, _body = run_pipeline(request, store)
         assert second["stages"]["analyze"] == "miss"
         assert second["stages"]["frontend"] == "hit"
         assert second["bounds"] == first["bounds"]
         assert _counter("store.poisoned") == 1
+
+    def test_pipeline_recomputes_a_v1_store(self, tmp_path, metrics):
+        # A daemon restarted onto a store the /1 format wrote recomputes
+        # each old entry once, and the answer is unchanged.
+        store = ResultStore(str(tmp_path))
+        request = ServeRequest(SOURCE)
+        first, body = run_pipeline(request, store)
+        keys = request.keys()
+        clight = compile_frontend(SOURCE, "<request>")
+        old = {"frontend": (clight, "pickle"),
+               "backend": (store.get(keys["backend"]), "json"),
+               "analyze": ({"certificate": export_certificate(
+                   analyze_clight(clight))}, "json"),
+               "check": (store.get(keys["check"]), "json")}
+        for stage, (payload, codec) in old.items():
+            store.raw_write(keys[stage],
+                            _v1_entry(keys[stage], payload, codec))
+        poisoned = _counter("store.poisoned")
+        second, second_body = run_pipeline(request, store)
+        assert second["stages"] == {stage: "miss" for stage in STAGES}
+        assert _counter("store.poisoned") - poisoned == len(STAGES)
+        assert second["bounds"] == first["bounds"]
+        assert json.loads(second_body)["certificate"] \
+            == json.loads(body)["certificate"]
+        third, _body = run_pipeline(request, store)
+        assert third["stages"] == {stage: "hit" for stage in STAGES}
+        assert _counter("store.poisoned") - poisoned == len(STAGES)
+
+    def test_poisoned_frontend_under_full_hits(self, metrics):
+        # The frontend entry is hash-checked on every request, even when
+        # no later stage needs the program: poison is still recomputed.
+        store = ResultStore()
+        request = ServeRequest(SOURCE)
+        run_pipeline(request, store)
+        key = request.keys()["frontend"]
+        store.raw_write(key, store.raw_read(key)[:-1])
+        document, _body = run_pipeline(request, store)
+        assert document["stages"] == {"frontend": "miss", "backend": "hit",
+                                      "analyze": "hit", "check": "hit"}
+        assert _counter("store.poisoned") == 1
+        document, _body = run_pipeline(request, store)
+        assert set(document["stages"].values()) == {"hit"}
+
+
+class TestPipelineAnswer:
+    """What the pipeline returns: one certificate, encoded once."""
+
+    @pytest.mark.parametrize("path", ["mibench/crc32.c",
+                                      "funcptr/dispatch.c",
+                                      "recursive/fact_sq.c"])
+    def test_served_certificate_is_the_certify_output(self, path):
+        source = load_source(path)
+        document, body = run_pipeline(ServeRequest(source, filename=path),
+                                      ResultStore())
+        certify = json.loads(export_certificate(
+            analyze_clight(compile_frontend(source, path))))
+        assert json.loads(body)["certificate"] == certify
+        assert document["certificate"] == certify
+        assert body == json.dumps(document, sort_keys=True).encode()
+
+    def test_full_hit_does_not_unpickle_the_program(self, monkeypatch):
+        store = ResultStore()
+        request = ServeRequest(SOURCE)
+        run_pipeline(request, store)
+        loads = []
+        real_loads = pickle.loads
+        monkeypatch.setattr(pickle, "loads",
+                            lambda data: loads.append(data) or real_loads(data))
+        document, _body = run_pipeline(request, store)
+        assert set(document["stages"].values()) == {"hit"}
+        assert loads == []
+        # A stage that misses (here the backend, under a new option)
+        # loads the stored program, once.
+        document, _body = run_pipeline(
+            ServeRequest(SOURCE, options=CompilerOptions(cse=True)), store)
+        assert document["stages"]["backend"] == "miss"
+        assert len(loads) == 1
 
 
 class TestEviction:
