@@ -511,8 +511,8 @@ def cmd_certify(args) -> int:
 
 
 def cmd_check_cert(args) -> int:
+    from repro.logic.bexpr import INFINITY, evaluate, param_names
     from repro.logic.certificate import load_certificate
-    from repro.logic.bexpr import evaluate
 
     compilation = _compile(args)
     with open(args.certificate) as handle:
@@ -523,7 +523,15 @@ def cmd_check_cert(args) -> int:
           f"({status})")
     metric = compilation.metric.as_dict()
     for name in sorted(bounds):
-        print(f"{name:24s} {int(evaluate(bounds[name], metric)):8d} bytes")
+        expr = bounds[name]
+        # A recursive function's bound depends on its arguments: print
+        # it symbolically, as `bounds` does.
+        if param_names(expr):
+            print(f"{name:24s} {expr!r}")
+            continue
+        value = evaluate(expr, metric)
+        bound = "∞" if value == INFINITY else int(value)
+        print(f"{name:24s} {bound:>8} bytes")
     return 0
 
 

@@ -9,17 +9,21 @@ whole-program analysis result — Γ specs plus one derivation per function
 against a (possibly different) copy of the program, where the ordinary
 checker re-validates every rule application.
 
-Statements inside derivation nodes are referenced *by path* into the
-program's Clight AST (e.g. ``["seq.first", "loop.body"]``), so a
-certificate is only meaningful relative to the exact program it was
-produced for — re-checking against a modified program fails fast, which
-is the behavior a certificate should have.
+Bound expressions are hash-consed, and a certificate keeps that sharing:
+each distinct expression is one row of the ``bounds`` table, written
+after the rows it references, and every bound field elsewhere is a row
+number.  A statement is named by its number in a pre-order walk of the
+function body, so a certificate is only meaningful relative to the
+exact program it was produced for — re-checking against a modified
+program fails fast, which is the behavior a certificate should have.
+``docs/LOGIC.md`` ("Certificate format") describes the layout and what
+the loader rejects.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Callable
 
 from repro.clight import ast as cl
 from repro.errors import DerivationError
@@ -28,123 +32,186 @@ from repro.logic import derivation as dv
 from repro.logic.assertions import FunContext, FunSpec, Post
 
 FORMAT = "repro-stack-certificate"
-VERSION = 3
+VERSION = 4
 
-#: Version 2 certificates (no parametric specs, hence no verification
-#: domains) are still accepted: nothing in their payload changed meaning.
-SUPPORTED_VERSIONS = (2, 3)
+SUPPORTED_VERSIONS = (VERSION,)
+
+
+def canonical_json(value: Any) -> str:
+    """The canonical text of a JSON value: sorted keys, no indentation.
+
+    A certificate is written in it, and so is everything ``repro serve``
+    stores and answers, which lets a stored certificate's bytes stand in
+    an answer as they are.
+    """
+    return json.dumps(value, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
-# Bound expressions <-> JSON
+# The bounds table: one row per distinct bound expression
 # ---------------------------------------------------------------------------
 
 
-def bexpr_to_json(expr: bx.BExpr) -> Any:
-    if isinstance(expr, bx.BConst):
-        return {"k": "const",
-                "v": "inf" if expr.value == bx.INFINITY else expr.value}
-    if isinstance(expr, bx.BMetric):
-        return {"k": "metric", "f": expr.function}
-    if isinstance(expr, bx.BParam):
-        return {"k": "param", "p": expr.name}
-    if isinstance(expr, bx.BAdd):
-        return {"k": "add", "items": [bexpr_to_json(i) for i in expr.items]}
-    if isinstance(expr, bx.BMax):
-        return {"k": "max", "items": [bexpr_to_json(i) for i in expr.items]}
-    if isinstance(expr, bx.BScale):
-        return {"k": "scale", "by": expr.factor,
-                "body": bexpr_to_json(expr.body)}
-    if isinstance(expr, bx.BFrameDiff):
-        return {"k": "framediff", "total": bexpr_to_json(expr.total),
-                "part": bexpr_to_json(expr.part)}
-    if isinstance(expr, bx.BMul):
-        return {"k": "mul", "l": bexpr_to_json(expr.left),
-                "r": bexpr_to_json(expr.right)}
-    if isinstance(expr, bx.BLog2):
-        return {"k": "log2", "arg": bexpr_to_json(expr.arg)}
-    if isinstance(expr, bx.BHalf):
-        return {"k": "half", "ceil": expr.ceil,
-                "arg": bexpr_to_json(expr.arg)}
-    if isinstance(expr, bx.BParamDiff):
-        return {"k": "pdiff", "l": bexpr_to_json(expr.left),
-                "r": bexpr_to_json(expr.right)}
+def _row(expr: bx.BExpr, ref: Callable[[bx.BExpr], int]) -> list:
+    """The table row of ``expr``; ``ref`` writes its children first."""
+    cls = type(expr)
+    if cls is bx.BConst:
+        return ["const", "inf" if expr.value == bx.INFINITY else expr.value]
+    if cls is bx.BMetric:
+        return ["metric", expr.function]
+    if cls is bx.BParam:
+        return ["param", expr.name]
+    if cls is bx.BAdd:
+        return ["add", *map(ref, expr.items)]
+    if cls is bx.BMax:
+        return ["max", *map(ref, expr.items)]
+    if cls is bx.BScale:
+        return ["scale", expr.factor, ref(expr.body)]
+    if cls is bx.BFrameDiff:
+        return ["framediff", ref(expr.total), ref(expr.part)]
+    if cls is bx.BMul:
+        return ["mul", ref(expr.left), ref(expr.right)]
+    if cls is bx.BLog2:
+        return ["log2", ref(expr.arg)]
+    if cls is bx.BHalf:
+        return ["half", expr.ceil, ref(expr.arg)]
+    if cls is bx.BParamDiff:
+        return ["pdiff", ref(expr.left), ref(expr.right)]
     raise DerivationError(f"unserializable bound {expr!r}")
 
 
-def bexpr_from_json(data: Any) -> bx.BExpr:
-    kind = data["k"]
+class _BoundTable:
+    """The ``bounds`` rows of a certificate being written."""
+
+    def __init__(self) -> None:
+        self.rows: list[list] = []
+        self._index: dict[bx.BExpr, int] = {}  # interned: keyed by identity
+
+    def ref(self, expr: bx.BExpr) -> int:
+        """The row number of ``expr``, appending its row if it is new."""
+        index = self._index.get(expr)
+        if index is None:
+            row = _row(expr, self.ref)
+            index = self._index[expr] = len(self.rows)
+            self.rows.append(row)
+        return index
+
+
+#: Arguments after the kind of each row kind; ``None``: one or more.
+_ROW_ARITY = {"const": 1, "metric": 1, "param": 1, "add": None, "max": None,
+              "scale": 2, "framediff": 2, "mul": 2, "log2": 1, "half": 2,
+              "pdiff": 2}
+
+
+def _natural(value: Any) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _decode_row(number: int, row: Any,
+                table: list[bx.BExpr]) -> bx.BExpr:
+    """Build row ``number`` from the rows before it, through the
+    interning constructors."""
+    where = f"bound row {number}"
+    if not isinstance(row, list) or not row:
+        raise DerivationError(f"{where} is not a non-empty list")
+    kind, args = row[0], row[1:]
+    if not isinstance(kind, str) or kind not in _ROW_ARITY:
+        raise DerivationError(f"{where}: unknown bound kind {kind!r}")
+    arity = _ROW_ARITY[kind]
+    if (len(args) != arity) if arity else not args:
+        raise DerivationError(
+            f"{where}: {kind!r} takes {arity or 'one or more'} "
+            f"argument(s), got {len(args)}")
+
+    def ref(value: Any) -> bx.BExpr:
+        # An earlier row, never this one or a later one: no cycles.
+        if type(value) is not int or not 0 <= value < number:
+            raise DerivationError(
+                f"{where}: reference {value!r} is not an earlier row")
+        return table[value]
+
     if kind == "const":
-        value = data["v"]
+        value = args[0]
         if value == "inf":
-            return bx.BConst(bx.INFINITY)
+            return bx.TOP
         # Reject out-of-domain constants with a diagnostic instead of
         # letting the BConst naturals guard crash the checker.
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        if not _natural(value):
             raise DerivationError(
-                f'bound constant must be a natural or "inf": {value!r}')
+                f'{where}: bound constant must be a natural or "inf": '
+                f"{value!r}")
         return bx.BConst(value)
-    if kind == "metric":
-        return bx.BMetric(data["f"])
-    if kind == "param":
-        return bx.BParam(data["p"])
+    if kind in ("metric", "param"):
+        if not isinstance(args[0], str):
+            raise DerivationError(f"{where}: {kind} name must be a string")
+        return bx.BMetric(args[0]) if kind == "metric" else bx.BParam(args[0])
     if kind == "add":
-        return bx.BAdd([bexpr_from_json(i) for i in data["items"]])
+        return bx.BAdd([ref(item) for item in args])
     if kind == "max":
-        return bx.BMax([bexpr_from_json(i) for i in data["items"]])
+        return bx.BMax([ref(item) for item in args])
     if kind == "scale":
-        return bx.BScale(data["by"], bexpr_from_json(data["body"]))
-    if kind == "framediff":
-        return bx.BFrameDiff(bexpr_from_json(data["total"]),
-                             bexpr_from_json(data["part"]))
-    if kind == "mul":
-        return bx.BMul(bexpr_from_json(data["l"]), bexpr_from_json(data["r"]))
-    if kind == "log2":
-        return bx.BLog2(bexpr_from_json(data["arg"]))
-    if kind == "half":
-        return bx.BHalf(bexpr_from_json(data["arg"]), data["ceil"])
-    if kind == "pdiff":
-        return bx.BParamDiff(bexpr_from_json(data["l"]),
-                             bexpr_from_json(data["r"]))
-    raise DerivationError(f"unknown bound kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# Statement paths
-# ---------------------------------------------------------------------------
-
-_CHILDREN = {
-    cl.SSeq: (("seq.first", "first"), ("seq.second", "second")),
-    cl.SIf: (("if.then", "then"), ("if.else", "otherwise")),
-    cl.SLoop: (("loop.body", "body"), ("loop.post", "post")),
-    cl.SBlock: (("block.body", "body"),),
-}
-
-
-def _statement_paths(stmt: cl.Stmt, prefix: tuple[str, ...],
-                     table: dict[int, tuple[str, ...]]) -> None:
-    table[id(stmt)] = prefix
-    for cls, edges in _CHILDREN.items():
-        if isinstance(stmt, cls):
-            for label, attribute in edges:
-                _statement_paths(getattr(stmt, attribute),
-                                 prefix + (label,), table)
-            return
-
-
-def _resolve_path(stmt: cl.Stmt, path: list[str]) -> cl.Stmt:
-    for label in path:
-        for cls, edges in _CHILDREN.items():
-            if isinstance(stmt, cls):
-                match = {lab: attr for lab, attr in edges}.get(label)
-                if match is not None:
-                    stmt = getattr(stmt, match)
-                    break
-        else:
+        if not _natural(args[0]):
             raise DerivationError(
-                f"certificate path {label!r} does not match the program "
-                f"(statement is {type(stmt).__name__})")
-    return stmt
+                f"{where}: scaling factor must be a natural: {args[0]!r}")
+        return bx.BScale(args[0], ref(args[1]))
+    if kind == "framediff":
+        return bx.BFrameDiff(ref(args[0]), ref(args[1]))
+    if kind == "mul":
+        return bx.BMul(ref(args[0]), ref(args[1]))
+    if kind == "log2":
+        return bx.BLog2(ref(args[0]))
+    if kind == "half":
+        if not isinstance(args[0], bool):
+            raise DerivationError(f"{where}: half's ceil must be a boolean")
+        return bx.BHalf(ref(args[1]), args[0])
+    return bx.BParamDiff(ref(args[0]), ref(args[1]))
+
+
+def _decode_bounds(rows: Any) -> list[bx.BExpr]:
+    """The bound expression of every row, each built once."""
+    if not isinstance(rows, list):
+        raise DerivationError("bounds must be a list of rows")
+    table: list[bx.BExpr] = []
+    for number, row in enumerate(rows):
+        table.append(_decode_row(number, row, table))
+    return table
+
+
+def _bound(table: list[bx.BExpr], value: Any, where: str) -> bx.BExpr:
+    """The expression a bound field references."""
+    if type(value) is not int or not 0 <= value < len(table):
+        raise DerivationError(
+            f"{where}: {value!r} is not a row of the bounds table")
+    return table[value]
+
+
+def total_bounds(document: dict) -> dict[str, bx.BExpr]:
+    """Each function's advertised ``total_bound``, as an expression."""
+    table = _decode_bounds(document["bounds"])
+    return {name: _bound(table, entry["total_bound"], f"{name}: total_bound")
+            for name, entry in document["functions"].items()}
+
+
+# ---------------------------------------------------------------------------
+# Statement numbers
+# ---------------------------------------------------------------------------
+
+#: The sub-statements of each compound statement, in numbering order.
+_CHILDREN = {cl.SSeq: ("first", "second"), cl.SIf: ("then", "otherwise"),
+             cl.SLoop: ("body", "post"), cl.SBlock: ("body",)}
+
+
+def _statements(body: cl.Stmt) -> list[cl.Stmt]:
+    """The statements of a function body in pre-order; a certificate
+    names each by its index here."""
+    order: list[cl.Stmt] = []
+    stack = [body]
+    while stack:
+        stmt = stack.pop()
+        order.append(stmt)
+        stack.extend(getattr(stmt, attribute) for attribute
+                     in reversed(_CHILDREN.get(type(stmt), ())))
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -152,39 +219,30 @@ def _resolve_path(stmt: cl.Stmt, path: list[str]) -> cl.Stmt:
 # ---------------------------------------------------------------------------
 
 
-def _post_to_json(post: Post) -> Any:
-    return [bexpr_to_json(part) for part in post.parts()]
-
-
-def _post_from_json(data: Any) -> Post:
-    skip, brk, ret, cont = (bexpr_from_json(part) for part in data)
-    return Post(skip, brk, ret, cont)
-
-
-def derivation_to_json(node: dv.Derivation,
-                       paths: dict[int, tuple[str, ...]]) -> Any:
+def _derivation_to_json(node: dv.Derivation, numbers: dict[int, int],
+                        ref: Callable[[bx.BExpr], int]) -> dict:
     conclusion = node.conclusion
-    stmt_path = paths.get(id(conclusion.stmt))
-    if stmt_path is None:
+    number = numbers.get(id(conclusion.stmt))
+    if number is None:
         raise DerivationError(
             "derivation mentions a statement outside the function body")
     data: dict[str, Any] = {
         "rule": node.rule,
-        "stmt": list(stmt_path),
-        "pre": bexpr_to_json(conclusion.pre),
-        "post": _post_to_json(conclusion.post),
+        "stmt": number,
+        "pre": ref(conclusion.pre),
+        "post": [ref(part) for part in conclusion.post.parts()],
     }
     if isinstance(node, dv.DCall):
         data["callee"] = node.callee
-        data["spec_args"] = {name: bexpr_to_json(expr)
+        data["spec_args"] = {name: ref(expr)
                              for name, expr in node.spec_args.items()}
     if isinstance(node, dv.DExternal):
         data["callee"] = node.callee
     if isinstance(node, dv.DFrame):
-        data["frame"] = bexpr_to_json(node.frame)
-    children = list(node.children())
+        data["frame"] = ref(node.frame)
+    children = node.children()
     if children:
-        data["children"] = [derivation_to_json(child, paths)
+        data["children"] = [_derivation_to_json(child, numbers, ref)
                             for child in children]
     return data
 
@@ -207,21 +265,34 @@ _RULE_ARITY = {
 }
 
 
-def derivation_from_json(data: Any, body: cl.Stmt) -> dv.Derivation:
-    stmt = _resolve_path(body, data["stmt"])
-    triple = dv.Triple(bexpr_from_json(data["pre"]), stmt,
-                       _post_from_json(data["post"]))
-    rule = data["rule"]
-    arity = _RULE_ARITY.get(rule)
+def _derivation_from_json(data: Any, statements: list[cl.Stmt],
+                          table: list[bx.BExpr]) -> dv.Derivation:
+    if not isinstance(data, dict):
+        raise DerivationError("derivation node is not an object")
+    rule, number = data.get("rule"), data.get("stmt")
+    if type(number) is not int or not 0 <= number < len(statements):
+        raise DerivationError(
+            f"{rule} application: statement number {number!r} does not "
+            f"match the program ({len(statements)} statements)")
+    where = f"{rule} application at statement {number}"
+    post = data.get("post")
+    if not isinstance(post, list) or len(post) != 4:
+        raise DerivationError(f"{where}: post must be four bound references")
+    skip, brk, ret, cont = (_bound(table, part, f"{where}: post")
+                            for part in post)
+    triple = dv.Triple(_bound(table, data.get("pre"), f"{where}: pre"),
+                       statements[number], Post(skip, brk, ret, cont))
+    arity = _RULE_ARITY.get(rule) if isinstance(rule, str) else None
     if arity is None:
         raise DerivationError(f"unknown rule {rule!r} in certificate")
-    raw_children = data.get("children", ())
-    if len(raw_children) != arity:
+    raw_children = data.get("children", [])
+    if not isinstance(raw_children, list) or len(raw_children) != arity:
+        count = len(raw_children) if isinstance(raw_children, list) else "?"
         raise DerivationError(
-            f"{rule} application at path {data['stmt']!r} has "
-            f"{len(raw_children)} premise(s), expected {arity} "
+            f"{where} has {count} premise(s), expected {arity} "
             "(truncated rule tree?)")
-    children = [derivation_from_json(child, body) for child in raw_children]
+    children = [_derivation_from_json(child, statements, table)
+                for child in raw_children]
 
     if rule in _RULES_SIMPLE:
         return _RULES_SIMPLE[rule](triple)
@@ -233,14 +304,21 @@ def derivation_from_json(data: Any, body: cl.Stmt) -> dv.Derivation:
         return dv.DLoop(triple, children[0], children[1])
     if rule == "Q:BLOCK":
         return dv.DBlock(triple, children[0])
-    if rule == "Q:CALL":
-        spec_args = {name: bexpr_from_json(expr)
-                     for name, expr in data.get("spec_args", {}).items()}
-        return dv.DCall(triple, data["callee"], spec_args)
-    if rule == "Q:EXTERNAL":
-        return dv.DExternal(triple, data["callee"])
+    if rule in ("Q:CALL", "Q:EXTERNAL"):
+        callee = data.get("callee")
+        if not isinstance(callee, str):
+            raise DerivationError(f"{where}: callee must be a function name")
+        if rule == "Q:EXTERNAL":
+            return dv.DExternal(triple, callee)
+        spec_args = data.get("spec_args", {})
+        if not isinstance(spec_args, dict):
+            raise DerivationError(f"{where}: spec_args must be an object")
+        return dv.DCall(triple, callee, {
+            name: _bound(table, value, f"{where}: spec_args[{name!r}]")
+            for name, value in spec_args.items()})
     if rule == "Q:FRAME":
-        return dv.DFrame(triple, bexpr_from_json(data["frame"]), children[0])
+        return dv.DFrame(triple, _bound(table, data.get("frame"),
+                                        f"{where}: frame"), children[0])
     return dv.DConseq(triple, children[0])
 
 
@@ -252,23 +330,23 @@ def derivation_from_json(data: Any, body: cl.Stmt) -> dv.Derivation:
 def certificate_document(analysis) -> dict:
     """The certificate of an :class:`~repro.analyzer.auto.AnalysisResult`
     as a JSON-ready document (what :func:`export_certificate` writes)."""
+    table = _BoundTable()
     functions = {}
     for name, function_analysis in analysis.functions.items():
-        body = analysis.program.function(name).body
-        paths: dict[int, tuple[str, ...]] = {}
-        _statement_paths(body, (), paths)
+        statements = _statements(analysis.program.function(name).body)
+        numbers = {id(stmt): number for number, stmt in enumerate(statements)}
         spec = analysis.gamma[name]
         functions[name] = {
             "spec": {
                 "params": spec.params,
-                "pre": bexpr_to_json(spec.pre),
-                "post": bexpr_to_json(spec.post),
+                "pre": table.ref(spec.pre),
+                "post": table.ref(spec.post),
             },
-            "total_bound": bexpr_to_json(function_analysis.total_bound),
-            "derivation": derivation_to_json(
-                function_analysis.derivation, paths),
+            "total_bound": table.ref(function_analysis.total_bound),
+            "derivation": _derivation_to_json(
+                function_analysis.derivation, numbers, table.ref),
         }
-    document = {"format": FORMAT, "version": VERSION,
+    document = {"format": FORMAT, "version": VERSION, "bounds": table.rows,
                 "functions": functions}
     # Verification domains of parametric (inferred-recursion) specs: part
     # of the *claim*, so they travel inside the certificate and the
@@ -281,8 +359,8 @@ def certificate_document(analysis) -> dict:
 
 
 def export_certificate(analysis) -> str:
-    """Serialize an :class:`~repro.analyzer.auto.AnalysisResult` to JSON."""
-    return json.dumps(certificate_document(analysis), indent=1)
+    """The certificate of an analysis, in its canonical text."""
+    return canonical_json(certificate_document(analysis))
 
 
 def _domains_from_json(data: Any) -> dict[str, list[int]] | None:
@@ -315,7 +393,9 @@ def load_certificate(text: str, program: cl.Program):
     """
     try:
         data = json.loads(text)
-    except ValueError as error:  # json.JSONDecodeError subclasses ValueError
+    except (ValueError, RecursionError) as error:
+        # json.JSONDecodeError subclasses ValueError; nesting deeper
+        # than the parser's stack is a RecursionError.
         raise DerivationError(f"certificate is not valid JSON: {error}")
     return check_certificate(data, program)
 
@@ -331,28 +411,43 @@ def check_certificate(data: Any, program: cl.Program):
         raise DerivationError("not a stack-bound certificate")
     if data.get("version") not in SUPPORTED_VERSIONS:
         raise DerivationError(
-            f"unsupported certificate version {data.get('version')}")
+            f"unsupported certificate version {data.get('version')}; "
+            "re-run `repro certify`")
     param_domains = _domains_from_json(data.get("param_domains"))
+    table = _decode_bounds(data.get("bounds"))
+    functions = data.get("functions", {})
+    if not isinstance(functions, dict):
+        raise DerivationError("functions must be an object")
+    # A certificate for another program names functions this one lacks:
+    # say so before any statement number fails to match.
+    for name in functions:
+        if not program.is_internal(name):
+            raise DerivationError(
+                f"certificate covers unknown function {name!r}")
 
     gamma = FunContext()
     derivations: dict[str, dv.Derivation] = {}
     bounds: dict[str, bx.BExpr] = {}
-    for name, entry in data.get("functions", {}).items():
-        if not program.is_internal(name):
-            raise DerivationError(
-                f"certificate covers unknown function {name!r}")
+    for name, entry in functions.items():
         try:
             spec_data = entry["spec"]
-            spec = FunSpec(name, spec_data["params"],
-                           bexpr_from_json(spec_data["pre"]),
-                           bexpr_from_json(spec_data["post"]))
+            params = spec_data["params"]
+            if not isinstance(params, list) or not all(
+                    isinstance(param, str) for param in params):
+                raise DerivationError(
+                    f"{name}: spec params must be a list of names")
+            spec = FunSpec(name, params,
+                           _bound(table, spec_data["pre"], f"{name}: spec"),
+                           _bound(table, spec_data["post"], f"{name}: spec"))
             gamma.add(spec)
-            bounds[name] = bexpr_from_json(entry["total_bound"])
-            derivations[name] = derivation_from_json(
-                entry["derivation"], program.function(name).body)
+            bounds[name] = _bound(table, entry["total_bound"],
+                                  f"{name}: total_bound")
+            derivations[name] = _derivation_from_json(
+                entry["derivation"],
+                _statements(program.function(name).body), table)
         except DerivationError:
             raise
-        except (KeyError, TypeError, IndexError) as error:
+        except (KeyError, TypeError, IndexError, RecursionError) as error:
             raise DerivationError(
                 f"malformed certificate entry for {name!r} "
                 f"({type(error).__name__}: {error})")
@@ -368,7 +463,7 @@ def check_certificate(data: Any, program: cl.Program):
                 raise DerivationError(
                     f"{name}: advertised total_bound does not equal "
                     f"M({name}) + spec precondition")
-        except (ValueError, ArithmeticError) as error:
+        except (ValueError, ArithmeticError, RecursionError) as error:
             raise DerivationError(
                 f"{name}: cannot validate total_bound: {error}")
 
@@ -386,4 +481,7 @@ def check_certificate(data: Any, program: cl.Program):
             # a proof defect, not a usage error.
             raise DerivationError(
                 f"{name}: sampled side condition not coverable: {error}")
+        except RecursionError:
+            raise DerivationError(
+                f"{name}: derivation nests too deeply to check")
     return gamma, bounds, report

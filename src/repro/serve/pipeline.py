@@ -45,8 +45,8 @@ from repro.driver import (CompilerOptions, analyze_clight, compile_clight,
                           compile_frontend)
 from repro.errors import AnalysisError
 from repro.logic.bexpr import INFINITY, evaluate
-from repro.logic.certificate import (bexpr_from_json, certificate_document,
-                                     check_certificate)
+from repro.logic.certificate import (certificate_document,
+                                     check_certificate, total_bounds)
 from repro.serve.store import (ResultStore, ServeError, encode_json,
                                options_digest, source_digest, stage_key)
 
@@ -269,6 +269,7 @@ def _assemble(request: ServeRequest, backend: dict, certificate: dict,
               check: dict, stages: dict) -> dict:
     """The response document: concrete bounds under the compiled metric."""
     metric = backend["metric"]
+    totals = total_bounds(certificate)
     functions: dict[str, int] = {}
     parametric: list[str] = []
     for name, entry in certificate["functions"].items():
@@ -280,7 +281,7 @@ def _assemble(request: ServeRequest, backend: dict, certificate: dict,
             # bounds below.
             parametric.append(name)
             continue
-        value = evaluate(bexpr_from_json(entry["total_bound"]), metric)
+        value = evaluate(totals[name], metric)
         if value == INFINITY:
             raise AnalysisError(f"bound of {name} is unbounded")
         functions[name] = int(value)

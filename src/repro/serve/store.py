@@ -20,7 +20,10 @@ an artifact store holding the actual stage outputs, keyed by content:
   recomputed by the caller.  A poisoned entry is never returned.
 * **eviction is size-capped and pin-aware** — the store evicts
   least-recently-used entries once ``max_bytes`` is exceeded, but never
-  an entry pinned by an in-flight request.
+  an entry pinned by an in-flight request.  Checking the cap scans the
+  whole store, so a put made during a request (while this process holds
+  pins) defers the scan to the release of the last pin: one scan per
+  request, with the request's own entries still pinned.
 
 An entry is one JSON header line (schema, key, codec, sha256) followed
 by the payload bytes, which ``get`` hashes as read and decodes once.  The
@@ -44,9 +47,10 @@ from typing import Any, Iterator, Optional
 
 from repro import obs
 from repro.errors import ReproError
+from repro.logic.certificate import canonical_json
 
 #: Store entry schema identifier (bump on incompatible changes).
-STORE_SCHEMA = "repro.serve.store/2"
+STORE_SCHEMA = "repro.serve.store/3"
 
 #: Default on-disk budget: generous for a daemon, bounded for a laptop.
 DEFAULT_MAX_BYTES = 256 << 20
@@ -63,10 +67,9 @@ def source_digest(source: str, macros: Optional[dict] = None) -> str:
     diagnostics, and two requests differing in nothing but the name must
     share every stage result.
     """
-    canon = json.dumps(
+    canon = canonical_json(
         {"source": source,
-         "macros": sorted(macros.items()) if macros else []},
-        sort_keys=True)
+         "macros": sorted(macros.items()) if macros else []})
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
@@ -89,12 +92,12 @@ def stage_key(stage: str, src_digest: str,
 
 
 def encode_json(value: Any) -> bytes:
-    """The canonical encoding of one JSON value: sorted keys, no indent.
+    """The canonical encoding of one JSON value, the certificate's own.
 
     The ``json`` codec stores it, and every serve answer is written in
     it, which is what lets stored bytes be spliced into an answer.
     """
-    return json.dumps(value, sort_keys=True).encode()
+    return canonical_json(value).encode()
 
 
 def _stage_of(key: str) -> str:
@@ -118,6 +121,9 @@ class ResultStore:
         self._clock = 0                    # memory-mode LRU ticks
         self._stamps: dict[str, int] = {}
         self._pins: dict[str, int] = {}
+        #: A put made while pins are held leaves its eviction scan to
+        #: the release of the last pin (one scan per request, not per put).
+        self._scan_pending = False
         if root is not None:
             os.makedirs(root, exist_ok=True)
 
@@ -247,7 +253,11 @@ class ResultStore:
                              "sha256": hashlib.sha256(data).hexdigest()})
         self.raw_write(key, header.encode() + b"\n" + data)
         obs.add(f"store.{_stage_of(key)}.puts")
-        self._evict_if_needed()
+        with self._lock:
+            if self._pins:
+                self._scan_pending = True
+            else:
+                self._evict_if_needed()
         return payload
 
     # -- pinning and eviction ----------------------------------------------
@@ -259,13 +269,20 @@ class ResultStore:
                 self._pins[key] = self._pins.get(key, 0) + 1
 
     def unpin(self, *keys: str) -> None:
+        """Release pins; releasing the last one runs a deferred scan,
+        while ``keys`` are still pinned."""
         with self._lock:
+            pins = dict(self._pins)
             for key in keys:
-                count = self._pins.get(key, 0) - 1
+                count = pins.get(key, 0) - 1
                 if count > 0:
-                    self._pins[key] = count
+                    pins[key] = count
                 else:
-                    self._pins.pop(key, None)
+                    pins.pop(key, None)
+            if not pins and self._scan_pending:
+                self._scan_pending = False
+                self._evict_if_needed()
+            self._pins = pins
 
     class _Pinned:
         def __init__(self, store: "ResultStore", keys: tuple) -> None:

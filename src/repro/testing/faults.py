@@ -16,12 +16,16 @@ organized by the layer it attacks:
     The quantitative-logic derivation inside a certificate is corrupted
     (a constant potential decremented, postcondition slots swapped
     between rule applications, a Q:FRAME premise dropped, a Q:CALL
-    retargeted).  ``load_certificate`` must reject the mutant.
+    retargeted, a rule application renumbered to another statement).
+    ``load_certificate`` must reject the mutant.  A forged bound is
+    appended to the ``bounds`` table as new rows that only the targeted
+    field references, so no other use of a shared row changes.
 ``certificate``
     The wire format itself is corrupted (``total_bound``/``frame``/
-    ``spec`` fields, truncated rule tree, version skew, malformed JSON,
-    certificate replayed against the wrong program).  ``load_certificate``
-    must reject the mutant with a diagnostic — never a crash.
+    ``spec`` fields, a bound row referencing itself, truncated rule
+    tree, version skew, malformed JSON, certificate replayed against the
+    wrong program).  ``load_certificate`` must reject the mutant with a
+    diagnostic — never a crash.
 ``refinement``
     The event trace the refinement oracles consume is corrupted
     (``call(f)``/``ret(f)`` dropped or duplicated, an I/O event
@@ -198,13 +202,6 @@ def _misalign_frame(compilation) -> StackMetric:
 # ---------------------------------------------------------------------------
 
 
-def _walk_nodes(node: dict):
-    """All derivation nodes of one tree, preorder."""
-    yield node
-    for child in node.get("children", ()):
-        yield from _walk_nodes(child)
-
-
 def _walk_with_parent(node: dict, parent: Optional[dict] = None,
                       index: int = 0):
     yield node, parent, index
@@ -214,15 +211,32 @@ def _walk_with_parent(node: dict, parent: Optional[dict] = None,
 
 def _all_nodes(data: dict):
     for entry in data["functions"].values():
-        yield from _walk_nodes(entry["derivation"])
+        for node, _parent, _index in _walk_with_parent(entry["derivation"]):
+            yield node
 
 
 def _mutate_json(text: str, mutate: Callable[[dict], bool]) -> Optional[str]:
     """Parse, apply ``mutate`` (returns applicability), re-serialize."""
+    from repro.logic.certificate import canonical_json
+
     data = json.loads(text)
     if not mutate(data):
         return None
-    return json.dumps(data, indent=1)
+    return canonical_json(data)
+
+
+def _forge(data: dict, *row) -> int:
+    """Append a forged bound row; returns its reference.
+
+    A forgery is always a new row that only the targeted field points
+    at: rewriting a shared row in place would change every use at once.
+    """
+    data["bounds"].append(list(row))
+    return len(data["bounds"]) - 1
+
+
+def _is_const(data: dict, ref: int, value) -> bool:
+    return data["bounds"][ref] == ["const", value]
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +249,9 @@ def _mutate_json(text: str, mutate: Callable[[dict], bool]) -> Optional[str]:
 def _const_decrement(text: str) -> Optional[str]:
     def mutate(data: dict) -> bool:
         for entry in data["functions"].values():
-            pre = entry["spec"]["pre"]
-            if pre.get("k") == "const" and pre["v"] != "inf":
-                pre["v"] -= 1
+            kind, value = data["bounds"][entry["spec"]["pre"]][:2]
+            if kind == "const" and value != "inf":
+                entry["spec"]["pre"] = _forge(data, "const", value - 1)
                 return True
         return False
 
@@ -252,7 +266,7 @@ def _post_slot_swap(text: str) -> Optional[str]:
         roots = [entry["derivation"] for entry in data["functions"].values()]
         for i, a in enumerate(roots):
             for b in roots[i + 1:]:
-                if json.dumps(a["post"][2]) != json.dumps(b["post"][2]):
+                if a["post"][2] != b["post"][2]:
                     a["post"][2], b["post"][2] = b["post"][2], a["post"][2]
                     return True
         return False
@@ -302,11 +316,25 @@ def _rec_depth_off_by_one(text: str) -> Optional[str]:
         for node in _all_nodes(data):
             if node.get("rule") == "Q:CALL" and node.get("spec_args"):
                 name = sorted(node["spec_args"])[0]
-                node["spec_args"][name] = {
-                    "k": "add",
-                    "items": [node["spec_args"][name],
-                              {"k": "const", "v": 1}]}
+                node["spec_args"][name] = _forge(
+                    data, "add", node["spec_args"][name],
+                    _forge(data, "const", 1))
                 return True
+        return False
+
+    return _mutate_json(text, mutate)
+
+
+@_register("stmt-renumber", "derivation",
+           "point a rule application at a different statement number")
+def _stmt_renumber(text: str) -> Optional[str]:
+    def mutate(data: dict) -> bool:
+        for entry in data["functions"].values():
+            root = entry["derivation"]
+            for node, parent, _index in _walk_with_parent(root):
+                if parent is not None and node["stmt"] != root["stmt"]:
+                    node["stmt"] = root["stmt"]
+                    return True
         return False
 
     return _mutate_json(text, mutate)
@@ -322,9 +350,8 @@ def _rec_depth_off_by_one(text: str) -> Optional[str]:
 def _total_bound_corrupt(text: str) -> Optional[str]:
     def mutate(data: dict) -> bool:
         for entry in data["functions"].values():
-            total = entry["total_bound"]
-            if not (total.get("k") == "const" and total.get("v") == 0):
-                entry["total_bound"] = {"k": "const", "v": 0}
+            if not _is_const(data, entry["total_bound"], 0):
+                entry["total_bound"] = _forge(data, "const", 0)
                 return True
         return False
 
@@ -337,7 +364,7 @@ def _frame_negative(text: str) -> Optional[str]:
     def mutate(data: dict) -> bool:
         for node in _all_nodes(data):
             if node.get("rule") == "Q:FRAME":
-                node["frame"] = {"k": "const", "v": -4}
+                node["frame"] = _forge(data, "const", -4)
                 return True
         return False
 
@@ -350,9 +377,22 @@ def _spec_corrupt(text: str) -> Optional[str]:
     def mutate(data: dict) -> bool:
         for entry in data["functions"].values():
             spec = entry["spec"]
-            if spec["pre"].get("k") != "const" or spec["pre"].get("v") != 0:
-                spec["pre"] = {"k": "const", "v": 0}
-                spec["post"] = {"k": "const", "v": 0}
+            if not _is_const(data, spec["pre"], 0):
+                spec["pre"] = spec["post"] = _forge(data, "const", 0)
+                return True
+        return False
+
+    return _mutate_json(text, mutate)
+
+
+@_register("bound-ref-forward", "certificate",
+           "make a bound row reference itself, closing a cycle")
+def _bound_ref_forward(text: str) -> Optional[str]:
+    def mutate(data: dict) -> bool:
+        for number, row in enumerate(data["bounds"]):
+            if row[0] in ("add", "max", "framediff", "mul", "log2",
+                          "pdiff"):
+                row[1] = number
                 return True
         return False
 

@@ -25,6 +25,7 @@ REPO = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
 CRC32 = str(program_path("mibench/crc32.c"))
 BLOWFISH = str(program_path("mibench/blowfish.c"))
+FIB = str(program_path("recursive/fib.c"))
 #: Overflows the parser's recursion (one frame chain per paren level).
 DEEP = "int main(void){return " + "(" * 60 + "1" + ")" * 60 + ";}\n"
 #: No ``main``: nothing to bound or to run.
@@ -123,6 +124,16 @@ class TestExitPath:
         assert finished.returncode == code == 1
         assert finished.stdout.decode() == out
         assert out.splitlines()[-1].startswith("# measured stack usage")
+
+    def test_check_cert_of_a_recursive_program(self, capsys, tmp_path):
+        """A parametric bound prints symbolically; the op exits 0."""
+        cert = str(tmp_path / "fib.json")
+        assert _repro("certify", FIB, "-o", cert).returncode == 0
+        code, out = _in_process(capsys, "check-cert", FIB, cert)
+        finished = _repro("check-cert", FIB, cert)
+        assert (finished.returncode, code, finished.stderr) == (0, 0, b"")
+        assert finished.stdout.decode() == out
+        assert "(M(fib) + (fib$#n * M(fib)))" in out
 
     def test_run_out_of_fuel_exits_125(self):
         finished = _repro("run", CRC32, "--fuel", "10")

@@ -4,6 +4,7 @@ import pytest
 
 from repro import obs
 from repro.__main__ import main
+from repro.programs.catalog import RECURSIVE
 from repro.programs.loader import program_path
 
 
@@ -120,6 +121,98 @@ class TestCertify:
         assert "error" in capsys.readouterr().err
 
 
+def _forge(data: dict, *row) -> int:
+    """Append a bound row to a certificate document; its reference."""
+    data["bounds"].append(list(row))
+    return len(data["bounds"]) - 1
+
+
+def _bound_lines(path: str) -> list[str]:
+    """What ``check-cert`` prints per function: bytes, or the symbolic
+    bound of a recursive function, as ``bounds`` prints it."""
+    from repro.analyzer import StackAnalyzer
+    from repro.driver import compile_c
+    from repro.logic.bexpr import param_names
+
+    with open(path) as handle:
+        compilation = compile_c(handle.read(), filename=path)
+    analysis = StackAnalyzer(compilation.clight).analyze()
+    lines = []
+    for name in sorted(analysis.functions):
+        expr = analysis.bound_expr(name)
+        lines.append(f"{name:24s} {expr!r}" if param_names(expr) else
+                     f"{name:24s} "
+                     f"{analysis.bound_bytes(name, compilation.metric):8d} "
+                     "bytes")
+    return lines
+
+
+class TestCheckCertBounds:
+    """``check-cert`` prints each function's bound, symbolic where it
+    depends on the arguments."""
+
+    @pytest.mark.parametrize("path", RECURSIVE)
+    def test_recursive_bounds_print_symbolically(self, path, tmp_path,
+                                                 capsys):
+        program = str(program_path(path))
+        cert = str(tmp_path / "cert.json")
+        assert main(["certify", program, "-o", cert]) == 0
+        capsys.readouterr()
+        assert main(["check-cert", program, cert]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("# certificate OK")
+        assert lines[1:] == _bound_lines(program)
+        assert any("bytes" not in line for line in lines[1:])
+
+    def test_an_infinite_bound_prints_as_such(self, program_file,
+                                              tmp_path, capsys):
+        """A certificate may claim ∞ (sound, if useless): weaken main's
+        spec to ∞ through Q:CONSEQ.  It checks, and prints ∞ bytes."""
+        import json
+
+        cert = tmp_path / "prog.cert.json"
+        assert main(["certify", program_file, "-o", str(cert)]) == 0
+        data = json.loads(cert.read_text())
+        entry, inf = data["functions"]["main"], _forge(data, "const", "inf")
+        root = entry["derivation"]
+        entry["derivation"] = {"rule": "Q:CONSEQ", "stmt": root["stmt"],
+                               "pre": inf, "post": root["post"],
+                               "children": [root]}
+        entry["spec"]["pre"] = inf
+        entry["total_bound"] = _forge(data, "add",
+                                      _forge(data, "metric", "main"), inf)
+        cert.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["check-cert", program_file, str(cert)]) == 0
+        assert f"{'main':24s} {'∞':>8} bytes" in \
+            capsys.readouterr().out.splitlines()
+
+    @pytest.mark.parametrize("path", ["mibench/crc32.c",
+                                      "recursive/fact_sq.c"])
+    def test_a_served_certificate_checks(self, path, tmp_path, capsys):
+        """What README promises: the certificate in a serve answer,
+        saved to a file, re-checks, and gives the served bounds."""
+        from repro.serve import ResultStore, ServeRequest, run_pipeline
+        from repro.serve.store import encode_json
+
+        program = str(program_path(path))
+        with open(program) as handle:
+            document, _body = run_pipeline(
+                ServeRequest(handle.read(), filename=path), ResultStore())
+        cert = tmp_path / "served.json"
+        cert.write_bytes(encode_json(document["certificate"]))
+        capsys.readouterr()
+        assert main(["check-cert", program, str(cert)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:] == _bound_lines(program)
+        served = document["bounds"]["functions"]
+        printed = {line.split()[0]: line.split()[1] for line in lines[1:]}
+        assert {name: printed[name] for name in served} == \
+            {name: str(value) for name, value in served.items()}
+        assert sorted(set(printed) - set(served)) == \
+            document["bounds"].get("parametric", [])
+
+
 class TestCheckCertRejection:
     """Every rejection path exits 2 with a diagnostic, never a traceback."""
 
@@ -179,10 +272,11 @@ class TestCheckCertRejection:
         import json
 
         data = json.load(open(cert))
-        data["functions"]["main"]["total_bound"] = {"k": "const", "v": 0}
+        data["functions"]["main"]["total_bound"] = _forge(data, "const", 0)
         bad = tmp_path / "total.json"
         bad.write_text(json.dumps(data))
-        self._expect_reject(program_file, str(bad), capsys, "total_bound")
+        self._expect_reject(program_file, str(bad), capsys,
+                            "advertised total_bound")
 
 
 class TestCheckCertUndefinedArithmetic:
@@ -198,12 +292,12 @@ class TestCheckCertUndefinedArithmetic:
 
     @pytest.mark.parametrize("total, needle", [
         # log2(∞) = ∞: a refuted total, not a crash.
-        ({"k": "log2", "arg": {"k": "const", "v": "inf"}},
+        (lambda data: _forge(data, "log2", _forge(data, "const", "inf")),
          "does not equal"),
         # half(n - ∞) = half(-∞) has no value.
-        ({"k": "half", "ceil": False,
-          "arg": {"k": "pdiff", "l": {"k": "param", "p": "bsearch$#n"},
-                  "r": {"k": "const", "v": "inf"}}},
+        (lambda data: _forge(data, "half", False, _forge(
+            data, "pdiff", _forge(data, "param", "bsearch$#n"),
+            _forge(data, "const", "inf"))),
          "cannot validate total_bound"),
     ])
     def test_exits_2_with_one_line(self, certificate, total, needle,
@@ -211,7 +305,7 @@ class TestCheckCertUndefinedArithmetic:
         import json
 
         data = json.loads(certificate)
-        data["functions"]["bsearch"]["total_bound"] = total
+        data["functions"]["bsearch"]["total_bound"] = total(data)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
         capsys.readouterr()

@@ -32,6 +32,13 @@ def cert_text(compilation):
     return export_certificate(StackAnalyzer(compilation.clight).analyze())
 
 
+@pytest.fixture(scope="module")
+def recursive_cert_text():
+    program = compile_frontend(load_source("recursive/bsearch.c"),
+                               filename="bsearch.c")
+    return export_certificate(StackAnalyzer(program).analyze())
+
+
 class TestRegistry:
     def test_issue_floor_of_twelve_operators(self):
         assert len(operators()) >= 12
@@ -100,9 +107,13 @@ class TestCertificateOperators:
     """Each operator mutates certificate text into *different* text."""
 
     CERT_OPS = ["const-decrement", "post-slot-swap", "frame-premise-drop",
-                "call-retarget", "total-bound-corrupt", "frame-negative",
-                "spec-corrupt", "rule-tree-truncate", "version-skew",
-                "json-malform"]
+                "call-retarget", "stmt-renumber", "total-bound-corrupt",
+                "frame-negative", "spec-corrupt", "bound-ref-forward",
+                "rule-tree-truncate", "version-skew", "json-malform"]
+
+    #: Operators that forge a bound expression.
+    FORGING_OPS = ["const-decrement", "rec-depth-off-by-one",
+                   "total-bound-corrupt", "frame-negative", "spec-corrupt"]
 
     @pytest.mark.parametrize("name", CERT_OPS)
     def test_operator_produces_a_distinct_mutant(self, name, cert_text):
@@ -110,6 +121,38 @@ class TestCertificateOperators:
         if mutated is None:
             pytest.skip(f"{name} has no site in this program's certificate")
         assert mutated != cert_text
+
+    @pytest.mark.parametrize("name", FORGING_OPS)
+    def test_forged_bounds_are_new_rows(self, name, cert_text,
+                                        recursive_cert_text):
+        """A forgery appends rows and leaves every existing row as it
+        was, so no other use of a shared row changes."""
+        applied = 0
+        for text in (cert_text, recursive_cert_text):
+            mutated = get_operator(name).apply(text)
+            if mutated is None:
+                continue
+            applied += 1
+            rows, forged = json.loads(text)["bounds"], \
+                json.loads(mutated)["bounds"]
+            assert len(forged) > len(rows)
+            assert forged[:len(rows)] == rows
+        assert applied
+
+    def test_stmt_renumber_moves_one_application(self, cert_text):
+        def numbers(text):
+            found = []
+            for entry in json.loads(text)["functions"].values():
+                stack = [entry["derivation"]]
+                while stack:
+                    node = stack.pop()
+                    found.append(node["stmt"])
+                    stack.extend(node.get("children", ()))
+            return found
+
+        before = numbers(cert_text)
+        after = numbers(get_operator("stmt-renumber").apply(cert_text))
+        assert sum(a != b for a, b in zip(before, after)) == 1
 
     def test_version_skew_bumps_version(self, cert_text):
         mutated = get_operator("version-skew").apply(cert_text)

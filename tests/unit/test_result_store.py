@@ -15,7 +15,8 @@ What these pin down, per the store's contract:
   ``certify`` writes, and unpickles the stored Clight program only for
   a stage that misses;
 * **eviction** — the size cap is honored, pinned (in-flight) entries
-  are never evicted, unpinned entries go oldest-first.
+  are never evicted, unpinned entries go oldest-first, and a request
+  scans the store once, at its end.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from repro.logic.certificate import export_certificate
 from repro.programs.loader import load_source
 from repro.serve import (STAGES, ResultStore, ServeRequest, options_digest,
                          run_pipeline, source_digest, stage_key)
+from repro.serve.store import encode_json
 
 FLAGS = list(inspect.signature(CompilerOptions).parameters)
 
@@ -75,6 +77,16 @@ def _v1_entry(key: str, payload, codec: str) -> bytes:
                        "codec": codec,
                        "sha256": hashlib.sha256(raw).hexdigest(),
                        "payload": wire}).encode()
+
+
+def _v2_entry(key: str, payload, codec: str) -> bytes:
+    """An entry as the ``repro.serve.store/2`` format wrote it: today's
+    header line and payload bytes under the old schema."""
+    data = encode_json(payload) if codec == "json" else payload
+    return json.dumps({"schema": "repro.serve.store/2", "key": key,
+                       "codec": codec,
+                       "sha256": hashlib.sha256(data).hexdigest()}
+                      ).encode() + b"\n" + data
 
 
 class TestKeys:
@@ -138,7 +150,7 @@ class TestRoundTrip:
         line, newline, data = store.raw_read("analyze:abc").partition(b"\n")
         assert (newline, data) == (b"\n", b'{"functions": {}}')
         assert json.loads(line) == {
-            "schema": "repro.serve.store/2", "key": "analyze:abc",
+            "schema": "repro.serve.store/3", "key": "analyze:abc",
             "codec": "raw", "sha256": hashlib.sha256(data).hexdigest()}
 
     def test_raw_codec_stores_bytes_only(self):
@@ -227,22 +239,14 @@ class TestPoisonDetection:
         assert second["bounds"] == first["bounds"]
         assert _counter("store.poisoned") == 1
 
-    def test_pipeline_recomputes_a_v1_store(self, tmp_path, metrics):
-        # A daemon restarted onto a store the /1 format wrote recomputes
-        # each old entry once, and the answer is unchanged.
-        store = ResultStore(str(tmp_path))
-        request = ServeRequest(SOURCE)
-        first, body = run_pipeline(request, store)
+    @staticmethod
+    def _recomputes_old_entries(store, request, first, body, entries):
+        """Write ``entries`` (stage -> old-format bytes) over a warm
+        store: the next request recomputes each one once, and the answer
+        is unchanged."""
         keys = request.keys()
-        clight = compile_frontend(SOURCE, "<request>")
-        old = {"frontend": (clight, "pickle"),
-               "backend": (store.get(keys["backend"]), "json"),
-               "analyze": ({"certificate": export_certificate(
-                   analyze_clight(clight))}, "json"),
-               "check": (store.get(keys["check"]), "json")}
-        for stage, (payload, codec) in old.items():
-            store.raw_write(keys[stage],
-                            _v1_entry(keys[stage], payload, codec))
+        for stage, entry in entries.items():
+            store.raw_write(keys[stage], entry)
         poisoned = _counter("store.poisoned")
         second, second_body = run_pipeline(request, store)
         assert second["stages"] == {stage: "miss" for stage in STAGES}
@@ -253,6 +257,38 @@ class TestPoisonDetection:
         third, _body = run_pipeline(request, store)
         assert third["stages"] == {stage: "hit" for stage in STAGES}
         assert _counter("store.poisoned") - poisoned == len(STAGES)
+
+    def test_pipeline_recomputes_a_v1_store(self, tmp_path, metrics):
+        # A daemon restarted onto a store the /1 format wrote.
+        store = ResultStore(str(tmp_path))
+        request = ServeRequest(SOURCE)
+        first, body = run_pipeline(request, store)
+        keys = request.keys()
+        clight = compile_frontend(SOURCE, "<request>")
+        old = {"frontend": (clight, "pickle"),
+               "backend": (store.get(keys["backend"]), "json"),
+               "analyze": ({"certificate": export_certificate(
+                   analyze_clight(clight))}, "json"),
+               "check": (store.get(keys["check"]), "json")}
+        self._recomputes_old_entries(store, request, first, body, {
+            stage: _v1_entry(keys[stage], payload, codec)
+            for stage, (payload, codec) in old.items()})
+
+    def test_pipeline_recomputes_a_v2_store(self, tmp_path, metrics):
+        # A daemon restarted onto a store the /2 format wrote, whose
+        # analyze entries hold version 3 certificates.
+        store = ResultStore(str(tmp_path))
+        request = ServeRequest(SOURCE)
+        first, body = run_pipeline(request, store)
+        keys = request.keys()
+        certificate = {**json.loads(body)["certificate"], "version": 3}
+        old = {"frontend": (store.get(keys["frontend"], codec="raw"), "raw"),
+               "backend": (store.get(keys["backend"]), "json"),
+               "analyze": (encode_json(certificate), "raw"),
+               "check": (store.get(keys["check"]), "json")}
+        self._recomputes_old_entries(store, request, first, body, {
+            stage: _v2_entry(keys[stage], payload, codec)
+            for stage, (payload, codec) in old.items()})
 
     def test_poisoned_frontend_under_full_hits(self, metrics):
         # The frontend entry is hash-checked on every request, even when
@@ -278,12 +314,15 @@ class TestPipelineAnswer:
                                       "recursive/fact_sq.c"])
     def test_served_certificate_is_the_certify_output(self, path):
         source = load_source(path)
-        document, body = run_pipeline(ServeRequest(source, filename=path),
-                                      ResultStore())
-        certify = json.loads(export_certificate(
-            analyze_clight(compile_frontend(source, path))))
-        assert json.loads(body)["certificate"] == certify
-        assert document["certificate"] == certify
+        request = ServeRequest(source, filename=path)
+        store = ResultStore()
+        document, body = run_pipeline(request, store)
+        certify = export_certificate(
+            analyze_clight(compile_frontend(source, path))).encode()
+        # The same bytes: stored, and written into the answer as they are.
+        assert store.get(request.keys()["analyze"], codec="raw") == certify
+        assert b'"certificate": ' + certify + b', "check": ' in body
+        assert document["certificate"] == json.loads(certify)
         assert body == json.dumps(document, sort_keys=True).encode()
 
     def test_full_hit_does_not_unpickle_the_program(self, monkeypatch):
@@ -347,6 +386,39 @@ class TestEviction:
         for index in range(40, 80):
             store.put(f"backend:cold{index}:opt", {"pad": "x" * 100})
         assert "backend:hot:opt" not in store
+
+    def test_a_request_scans_the_store_once(self, tmp_path, monkeypatch,
+                                            metrics):
+        # A cold request makes four puts; the cap is checked once, when
+        # the request releases its pins.
+        store = ResultStore(str(tmp_path))
+        scans = []
+        entries = store._entries
+        monkeypatch.setattr(store, "_entries",
+                            lambda: scans.append(1) or entries())
+        document, _body = run_pipeline(ServeRequest(SOURCE), store)
+        assert set(document["stages"].values()) == {"miss"}
+        assert len(scans) == 1
+        # A put outside any request still scans at once.
+        store.put("backend:other:opt", {"pad": "x"})
+        assert len(scans) == 2
+
+    def test_a_request_overshooting_the_cap_ends_under_it(self, tmp_path,
+                                                         metrics):
+        request = ServeRequest(SOURCE)
+        alone = ResultStore()
+        run_pipeline(request, alone)
+        store = ResultStore(str(tmp_path))
+        for index in range(20):
+            store.put(f"backend:old{index}:opt", {"pad": "x" * 500})
+        # The request's four puts overshoot the cap by half their size.
+        store.max_bytes = store.size_bytes() + alone.size_bytes() // 2
+        run_pipeline(request, store)
+        assert store.size_bytes() <= store.max_bytes
+        assert obs.snapshot()["gauges"]["store.bytes"] == store.size_bytes()
+        assert _counter("store.evictions") > 0
+        # The request's own entries were pinned while the scan ran.
+        assert all(key in store for key in request.keys().values())
 
     def test_disk_store_cap(self, tmp_path, metrics):
         store = ResultStore(str(tmp_path), max_bytes=2000)
