@@ -29,6 +29,7 @@ low 8 bits), as the compiled program would.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import NoReturn, Optional
@@ -88,9 +89,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = add_common(sub.add_parser(
         "run", help="execute on the finite-stack ASMsz machine"))
-    run.add_argument("--stack", type=int, default=None, metavar="BYTES",
+    run.add_argument("--stack", type=_COUNT, default=None, metavar="BYTES",
                      help="stack size sz (default: the verified bound)")
-    run.add_argument("--fuel", type=int, default=200_000_000)
+    run.add_argument("--fuel", type=_COUNT, default=200_000_000)
     run.add_argument("--engine", default=None,
                      choices=["legacy", "decoded", "codegen"],
                      help="force an execution tier (default: start on "
@@ -107,14 +108,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     trace = add_common(sub.add_parser(
         "trace", help="print the event trace of one execution"))
-    trace.add_argument("--fuel", type=int, default=5_000_000)
-    trace.add_argument("--limit", type=int, default=200,
+    trace.add_argument("--fuel", type=_COUNT, default=5_000_000)
+    trace.add_argument("--limit", type=_COUNT, default=200,
                        help="maximum number of events to print")
 
     profile = add_common(sub.add_parser(
         "profile", help="print per-stage timings (frontend, backend, "
                         "analysis, execution)"))
-    profile.add_argument("--fuel", type=int, default=200_000_000)
+    profile.add_argument("--fuel", type=_COUNT, default=200_000_000)
 
     certify = add_common(sub.add_parser(
         "certify", help="emit a re-checkable proof certificate (JSON)"))
@@ -128,11 +129,11 @@ def _build_parser() -> argparse.ArgumentParser:
     fuzz = sub.add_parser(
         "fuzz", help="run the differential-testing campaign on generated "
                      "programs (see docs/TESTING.md)")
-    fuzz.add_argument("--seeds", type=int, default=50,
+    fuzz.add_argument("--seeds", type=_COUNT, default=50,
                       help="number of generated programs to check")
     fuzz.add_argument("--start", type=int, default=0,
                       help="first seed of the campaign")
-    fuzz.add_argument("--jobs", type=int, default=1, metavar="J",
+    fuzz.add_argument("--jobs", type=_COUNT, default=1, metavar="J",
                       help="worker processes (1 = run in-process)")
     fuzz.add_argument("--metric", default="compiler",
                       choices=["compiler", "uniform", "zero"],
@@ -170,10 +171,10 @@ def _build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--repro-dir", default=None, metavar="DIR",
                       help="write minimized .c reproducers here "
                            "(default: repro-failures/ when a seed fails)")
-    fuzz.add_argument("--time-budget", type=float, default=None,
+    fuzz.add_argument("--time-budget", type=_SECONDS, default=None,
                       metavar="SECONDS", help="stop after this much wall "
                                               "clock")
-    fuzz.add_argument("--status-interval", type=float, default=10.0,
+    fuzz.add_argument("--status-interval", type=_SECONDS, default=10.0,
                       metavar="SECONDS",
                       help="period of the progress line (ETA, verdict "
                            "counts); 0 disables it")
@@ -184,23 +185,44 @@ def _build_parser() -> argparse.ArgumentParser:
         "serve", help="run the certified-bounds HTTP daemon "
                       "(docs/SERVING.md)")
     serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8642,
+    serve.add_argument("--port", type=_PORT, default=8642,
                        help="listen port (0 = pick an ephemeral port)")
-    serve.add_argument("--jobs", type=int, default=2, metavar="J",
+    serve.add_argument("--jobs", type=_COUNT, default=2, metavar="J",
                        help="worker processes (0 = run in-process)")
     serve.add_argument("--queue", type=int, default=16, metavar="N",
                        help="max in-flight requests before 503 backpressure")
-    serve.add_argument("--timeout", type=float, default=60.0,
+    serve.add_argument("--timeout", type=_SECONDS, default=60.0,
                        metavar="SECONDS", help="per-request budget")
     serve.add_argument("--store-dir", default=None, metavar="DIR",
                        help="content-addressed result store directory "
                             "(default .repro-cache/serve)")
     serve.add_argument("--no-store", action="store_true",
                        help="keep the result store in memory only")
-    serve.add_argument("--store-max-mb", type=int, default=256,
+    serve.add_argument("--store-max-mb", type=_COUNT, default=256,
                        metavar="MB", help="result-store size cap")
     add_obs(serve)
     return parser
+
+
+def _in_range(kind: type, name: str, high: float = math.inf):
+    """An argparse ``type=``: a ``kind`` (int or float) in ``[0, high]``.
+
+    A value out of range, NaN included, fails like a malformed one, so
+    argparse prints its own ``invalid <name> value: '-1'`` and exits 2.
+    """
+    def parse(text: str):
+        value = kind(text)
+        if not 0 <= value <= high:
+            raise ValueError(text)
+        return value
+
+    parse.__name__ = name
+    return parse
+
+
+_COUNT = _in_range(int, "non-negative int")
+_SECONDS = _in_range(float, "non-negative float")
+_PORT = _in_range(int, "port (0-65535)", 65535)
 
 
 def _plant_name(name: str) -> str:

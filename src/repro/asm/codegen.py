@@ -5,12 +5,14 @@ dispatches ``pc = ops[pc](pc)``, this module goes one step further: each
 :class:`~repro.asm.ast.AsmProgram` is compiled *to Python source* — one
 function per basic block, trampoline dispatch between blocks (the
 closest Python gets to computed goto), registers and ESP in local
-variables, immediates / jump targets / global addresses / return-address
-byte strings constant-folded into the text — and the ``compile()``d code
-object is cached per program in the same ``WeakKeyDictionary`` pattern
-``decode_program`` uses.  Fuel is charged per *block* (one compare per
-basic block instead of one loop iteration per instruction), and the hot
-instruction pairs are fused into superinstructions:
+variables, immediates / jump targets / global addresses / return
+addresses constant-folded into the text, int32 loads, stores, pushes
+and pops indexing the machine's word view (``w32[address >> 2]``) —
+and the ``compile()``d code object is cached per program in the same
+``WeakKeyDictionary`` pattern ``decode_program`` uses.  Fuel is charged
+per *block* (one compare per basic block instead of one loop iteration
+per instruction), and the hot instruction pairs are fused into
+superinstructions:
 
 * ``cmp`` + ``jcc`` — the comparison feeds the branch directly, and the
   flag register is materialized on the taken/untaken edge;
@@ -498,7 +500,7 @@ class _BlockEmitter:
         size = chunk.size
         if size == 4:
             self._emit_mem_guard(ind, "_a", 4, 3, "load", j)
-            self.w.line(ind, f'r{d} = fb(mem[_a:_a + 4], "little")')
+            self.w.line(ind, f"r{d} = w32[_a >> 2]")
             return
         signed = chunk.value.endswith("s")
         self._emit_mem_guard(ind, "_a", size, chunk.alignment - 1, "load", j)
@@ -532,12 +534,13 @@ class _BlockEmitter:
         size = chunk.size
         if size == 4:
             self._emit_mem_guard(ind, "_a", 4, 3, "store", j)
-            self.w.line(
-                ind,
-                f'mem[_a:_a + 4] = (r{s} & 4294967295).to_bytes(4, "little")')
+            self.w.line(ind, f"w32[_a >> 2] = r{s} & 4294967295")
+            return
+        self._emit_mem_guard(ind, "_a", size, chunk.alignment - 1, "store", j)
+        if size == 1:
+            self.w.line(ind, f"mem[_a] = r{s} & 255")
             return
         byte_mask = (1 << (8 * size)) - 1
-        self._emit_mem_guard(ind, "_a", size, chunk.alignment - 1, "store", j)
         self.w.line(
             ind,
             f"mem[_a:_a + {size}] = "
@@ -735,7 +738,7 @@ class _BlockEmitter:
         d = IREG_INDEX[load.dest]
         self.w.line(ind, f"_a = {expr}")
         self._emit_mem_guard(ind, "_a", 4, 3, "load", j)
-        self.w.line(ind, f'r{d} = fb(mem[_a:_a + 4], "little")')
+        self.w.line(ind, f"r{d} = w32[_a >> 2]")
         if self.miscompile == "stale-const":
             # Classic fusion bug: the folded operand goes stale — the ALU
             # consumes a constant instead of the freshly loaded word.
@@ -755,7 +758,6 @@ class _BlockEmitter:
             self._raise_stmt(ind, f"dyn(m, {self._step(j)}, {msg!r})")
             return
         ra = CODE_BASE + self.fid * FUNCTION_STRIDE + (pc + 1)
-        ra_bytes = ra.to_bytes(4, "little")
         w = self.w
         if fused_espadd is not None:
             drop = -fused_espadd.delta
@@ -781,7 +783,7 @@ class _BlockEmitter:
         w.line(ind + 1, "m.esp = esp")
         w.line(ind + 1,
                f"memerr(m, {self._step(j)}, esp, 4, 3, 'store')")
-        w.line(ind, f"mem[esp:esp + 4] = {ra_bytes!r}")
+        w.line(ind, f"w32[esp >> 2] = {ra}")
         for stmt in self._spill_lines():
             w.line(ind, stmt)
         if not self.wesp:  # unreachable (calls write esp) — safety net
@@ -793,7 +795,7 @@ class _BlockEmitter:
         w.line(ind, "if esp < 4096 or esp + 4 > memlen or esp & 3:")
         self._raise_stmt(
             ind + 1, f"memerr(m, {self._step(j)}, esp, 4, 3, 'load')")
-        w.line(ind, '_ra = fb(mem[esp:esp + 4], "little")')
+        w.line(ind, "_ra = w32[esp >> 2]")
         w.line(ind, "esp = esp + 4")
         for stmt in self._spill_lines():
             w.line(ind, stmt)
@@ -994,6 +996,7 @@ def _generate(program: asm.AsmProgram,
     w.line(1, "ir = m.iregs.array")
     w.line(1, "fr = m.fregs.array")
     w.line(1, "mem = m.memory")
+    w.line(1, "w32 = m.words")
     w.line(1, "memlen = len(mem)")
     w.line(1, "base = m.stack_base")
     w.line(1, "tr = m._trace")

@@ -8,10 +8,12 @@ dicts.  This module compiles each :class:`~repro.asm.ast.AsmProgram`
 so the hot loop is reduced to ``pc = ops[pc](pc)``:
 
 * operand registers become list indices resolved at decode time;
-* immediates, jump targets, return addresses (even their little-endian
-  byte encoding) and global addresses are precomputed;
-* the dominant ``Pload``/``Pstore`` chunks get aligned-word fast paths
-  that read and write the flat ``bytearray`` directly.
+* immediates, jump targets, return addresses and global addresses are
+  precomputed;
+* int32 loads and stores, pushed return addresses and ``ret``'s pop
+  index the machine's word view (``machine.words[address >> 2]``) once
+  the address has passed the range and alignment guards; narrower and
+  float chunks read and write the flat ``bytearray``.
 
 Decoding happens in two stages so the expensive part is shared:
 
@@ -673,18 +675,18 @@ def _decode_load(instr: asm.Pload):
     if size == 4:
         def factory(machine, ctx, d=d, make_addr=make_addr):
             ir = machine.iregs.array
-            mem = machine.memory
-            memlen = len(mem)
+            words = machine.words
+            memlen = len(machine.memory)
             compute = make_addr(machine)
 
-            def op(pc, ir=ir, mem=mem, memlen=memlen, d=d,
-                   compute=compute, from_bytes=int.from_bytes):
+            def op(pc, ir=ir, words=words, memlen=memlen, d=d,
+                   compute=compute):
                 a = compute(ir)
                 if a < GLOBAL_BASE or a + 4 > memlen:
                     _oob(a, 4)
                 if a & 3:
                     raise MemoryError_(f"misaligned load at {a:#x}")
-                ir[d] = from_bytes(mem[a:a + 4], "little")
+                ir[d] = words[a >> 2]
                 return pc + 1
             return op
         return factory
@@ -748,6 +750,24 @@ def _decode_store(instr: asm.Pstore):
     if size == 4:
         def factory(machine, ctx, s=s, make_addr=make_addr):
             ir = machine.iregs.array
+            words = machine.words
+            memlen = len(machine.memory)
+            compute = make_addr(machine)
+
+            def op(pc, ir=ir, words=words, memlen=memlen, s=s,
+                   compute=compute):
+                a = compute(ir)
+                if a < GLOBAL_BASE or a + 4 > memlen:
+                    _oob(a, 4)
+                if a & 3:
+                    raise MemoryError_(f"misaligned store at {a:#x}")
+                words[a >> 2] = ir[s] & _MASK
+                return pc + 1
+            return op
+        return factory
+    if size == 1:
+        def factory(machine, ctx, s=s, make_addr=make_addr):
+            ir = machine.iregs.array
             mem = machine.memory
             memlen = len(mem)
             compute = make_addr(machine)
@@ -755,11 +775,9 @@ def _decode_store(instr: asm.Pstore):
             def op(pc, ir=ir, mem=mem, memlen=memlen, s=s,
                    compute=compute):
                 a = compute(ir)
-                if a < GLOBAL_BASE or a + 4 > memlen:
-                    _oob(a, 4)
-                if a & 3:
-                    raise MemoryError_(f"misaligned store at {a:#x}")
-                mem[a:a + 4] = (ir[s] & _MASK).to_bytes(4, "little")
+                if a < GLOBAL_BASE or a + 1 > memlen:
+                    _oob(a, 1)
+                mem[a] = ir[s] & 255
                 return pc + 1
             return op
         return factory
@@ -820,9 +838,8 @@ def _decode_espadd(instr: asm.Pespadd):
 def _decode_call(instr: asm.Pcall, pc: int, fid: int):
     symbol = instr.symbol
     return_address = CODE_BASE + fid * FUNCTION_STRIDE + (pc + 1)
-    ra_bytes = return_address.to_bytes(4, "little")
 
-    def factory(machine, ctx, symbol=symbol, ra_bytes=ra_bytes):
+    def factory(machine, ctx, symbol=symbol, return_address=return_address):
         func_ops = ctx["func_ops"]
         callee_ops = func_ops.get(symbol)
         if callee_ops is None:
@@ -830,12 +847,12 @@ def _decode_call(instr: asm.Pcall, pc: int, fid: int):
                 raise DynamicError(f"call to unknown symbol {symbol!r} "
                                    "(externals use builtins)")
             return op
-        mem = machine.memory
-        memlen = len(mem)
+        words = machine.words
+        memlen = len(machine.memory)
         base = machine.stack_base
 
-        def op(pc, m=machine, mem=mem, memlen=memlen, base=base,
-               callee_ops=callee_ops, ra_bytes=ra_bytes):
+        def op(pc, m=machine, words=words, memlen=memlen, base=base,
+               callee_ops=callee_ops, return_address=return_address):
             esp = m.esp - 4
             if esp < base:
                 _overflow(m, esp)
@@ -846,7 +863,7 @@ def _decode_call(instr: asm.Pcall, pc: int, fid: int):
                 _oob(esp, 4)
             if esp & 3:
                 raise MemoryError_(f"misaligned store at {esp:#x}")
-            mem[esp:esp + 4] = ra_bytes
+            words[esp >> 2] = return_address
             m._ops = callee_ops
             m._pc = 0
             return None
@@ -856,24 +873,23 @@ def _decode_call(instr: asm.Pcall, pc: int, fid: int):
 
 def _decode_ret():
     def factory(machine, ctx):
-        mem = machine.memory
-        memlen = len(mem)
+        words = machine.words
+        memlen = len(machine.memory)
         ir = machine.iregs.array
         ops_by_id = ctx["ops_by_id"]
         names_by_id = ctx["names_by_id"]
         lens_by_id = ctx["lens_by_id"]
         n_functions = len(ops_by_id)
 
-        def op(pc, m=machine, mem=mem, memlen=memlen, ir=ir,
+        def op(pc, m=machine, words=words, memlen=memlen, ir=ir,
                ops_by_id=ops_by_id, names_by_id=names_by_id,
-               lens_by_id=lens_by_id, n_functions=n_functions,
-               from_bytes=int.from_bytes):
+               lens_by_id=lens_by_id, n_functions=n_functions):
             esp = m.esp
             if esp < GLOBAL_BASE or esp + 4 > memlen:
                 _oob(esp, 4)
             if esp & 3:
                 raise MemoryError_(f"misaligned load at {esp:#x}")
-            address = from_bytes(mem[esp:esp + 4], "little")
+            address = words[esp >> 2]
             m.esp = esp + 4
             if address == HALT_ADDRESS:
                 m.done = True
@@ -946,10 +962,10 @@ def bind_machine(machine) -> None:
     """Instantiate the (cached) decoded program against ``machine``.
 
     Stores ``machine._bound = (func_ops, ops_by_id)``: closures over this
-    machine's register arrays, memory and stack base.  Call targets are
-    resolved through list identity — the per-function op lists are created
-    empty first, so mutually recursive calls capture the right list before
-    it is filled.
+    machine's register arrays, memory, word view and stack base.  Call
+    targets are resolved through list identity — the per-function op
+    lists are created empty first, so mutually recursive calls capture
+    the right list before it is filled.
     """
     decoded = decode_program(machine.program)
     program = machine.program

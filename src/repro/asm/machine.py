@@ -24,13 +24,14 @@ allocation or call) that would drop below the stack base raises
 from __future__ import annotations
 
 import math
+import sys
 from typing import Optional
 
 from repro import engines, ints, obs
 from repro.asm import ast as asm
 from repro.c.types import align_up
-from repro.errors import (DynamicError, MemoryError_, StackOverflowError_,
-                          UndefinedBehaviorError)
+from repro.errors import (DynamicError, MemoryError_, ReproError,
+                          StackOverflowError_, UndefinedBehaviorError)
 from repro.events.trace import Behavior, Event
 from repro.memory.chunks import Chunk
 from repro.memory.values import VFloat, VInt, Value
@@ -77,6 +78,21 @@ _FLOAT_CMP = {
 
 
 class AsmMachine:
+    """One run's machine state: memory, registers, ESP and the watermark.
+
+    ``memory`` is one flat ``bytearray``.  ``words`` views the same bytes
+    as native 32-bit machine words (index ``address >> 2``); the decoded
+    engine and the generated code move every int32 load and store, every
+    pushed return address and every ``ret``'s pop through it, after the
+    same range-then-alignment guard the legacy :meth:`load` and
+    :meth:`store` apply, so an access that passes the guard always falls
+    inside the view.  The view ends at the last whole word, since
+    ``stack_bytes`` need not be a multiple of 4.  It is native-endian, so
+    those engines refuse a big-endian host (the legacy engine encodes
+    through :class:`~repro.memory.chunks.Chunk` and runs anywhere), and
+    it holds a buffer export: ``memory`` can never be resized.
+    """
+
     def __init__(self, program: asm.AsmProgram,
                  stack_bytes: int = DEFAULT_STACK_BYTES,
                  arena_bytes: int = DEFAULT_ARENA_BYTES,
@@ -88,6 +104,11 @@ class AsmMachine:
         #: code part-way: only when the caller chose no engine.
         self.tiered = engine is None
         self.engine = engines.check("ASMsz", engine, engines.ASM_ENGINES)
+        if self.engine != "legacy" and sys.byteorder != "little":
+            raise ReproError(
+                "the decoded and codegen ASMsz engines need a little-endian "
+                f"host, and this one is {sys.byteorder}-endian: "
+                "run with --engine legacy")
 
         # Global layout.
         self.global_addr: dict[str, int] = {}
@@ -102,6 +123,7 @@ class AsmMachine:
         self.stack_base = align_up(self.arena_end, 16)
         self.stack_top = self.stack_base + stack_bytes
         self.memory = bytearray(self.stack_top)
+        self.words = memoryview(self.memory)[:len(self.memory) & ~3].cast("I")
         for var in program.globals:
             base = self.global_addr[var.name]
             self.memory[base:base + var.size] = var.image

@@ -32,10 +32,12 @@ from __future__ import annotations
 import json
 import multiprocessing.pool
 import os
+import signal
 import threading
 import time
 import traceback
-from multiprocessing import Pool
+from multiprocessing import Pool, RawValue
+from multiprocessing.util import Finalize
 from typing import Optional
 
 from repro import obs
@@ -115,6 +117,41 @@ def _execute(payload: dict, store: ResultStore) -> Answer:
     return 200, set(document["stages"].values()) == {"hit"}, body
 
 
+def _worker_init(stopping) -> None:
+    """Pool initializer: the campaign's warmup, and the worker's signals.
+
+    A signal sent to the daemon's whole process group (Ctrl-C, ``kill
+    -TERM -PGID``, ``timeout``) or to all of its processes (systemd's
+    stop) reaches every worker too.  The daemon drains on it and then
+    stops the pool itself, so a worker must outlive it: one that died
+    would take the task queue's read lock with it (an idle worker holds
+    it while it waits), and ``Pool.terminate`` would wait for that lock
+    forever.  So a worker ignores SIGINT, and takes SIGTERM in a thread
+    of its own (:func:`_await_stop`) instead of in a handler, which a
+    signal arriving just before a blocking wait would never run.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+    threading.Thread(target=_await_stop, args=(stopping,),
+                     daemon=True).start()
+    pool_warmup()
+
+
+def _await_stop(stopping) -> None:
+    """End the worker on a SIGTERM that comes after ``stopping`` is set.
+
+    :meth:`ServePool.close` sets the shared flag, then ``Pool.terminate``
+    takes the task queue's read lock and sends SIGTERM: the worker holds
+    no lock the daemon still needs, and exits at once, as the default
+    action would have.  A SIGTERM before that is the group's, and the
+    worker keeps serving until the daemon has drained.
+    """
+    while True:
+        signal.sigwait({signal.SIGTERM})
+        if stopping.value:
+            os._exit(128 + signal.SIGTERM)
+
+
 def _options_from_key(items: list) -> "CompilerOptions":
     from repro.driver import CompilerOptions
 
@@ -166,8 +203,15 @@ class ServePool:
         self._pool: Optional[multiprocessing.pool.Pool] = None
         self._store: Optional[ResultStore] = None
         if jobs > 0:
+            stopping = RawValue("b", 0)
+            # Called by close(), or at exit before the pool's own
+            # terminate (exit priority 15) if close() never ran.
+            self._stop_workers = Finalize(self, setattr,
+                                          args=(stopping, "value", 1),
+                                          exitpriority=16)
             try:
-                self._pool = Pool(processes=jobs, initializer=pool_warmup)
+                self._pool = Pool(processes=jobs, initializer=_worker_init,
+                                  initargs=(stopping,))
             except Exception as error:
                 raise ServeError(
                     f"worker pool failed to start: {error}") from error
@@ -314,6 +358,7 @@ class ServePool:
         """Shut the worker processes down (in-flight answers first:
         call :meth:`drain` before closing for a graceful exit)."""
         if self._pool is not None:
+            self._stop_workers()
             self._pool.terminate()
             self._pool.join()
             self._pool = None

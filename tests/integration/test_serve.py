@@ -684,6 +684,81 @@ class TestSignalDrain:
         assert "draining" in stderr
         assert "shut down cleanly" in stderr
 
+    @staticmethod
+    def _pooled_daemon() -> tuple[subprocess.Popen, int]:
+        """A ``--jobs 2`` daemon leading its own process group."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--jobs", "2", "--no-store"],
+            stderr=subprocess.PIPE, text=True, env=env, cwd=REPO,
+            start_new_session=True)
+        line = process.stderr.readline()
+        assert "serving certified bounds" in line
+        return process, int(line.split("http://127.0.0.1:")[1].split()[0])
+
+    @staticmethod
+    def _stop(process: subprocess.Popen, target: str, signum) -> tuple:
+        """Signal the daemon or its whole group; its exit code and stderr
+        (None if it is still running 30 s later)."""
+        if target == "group":
+            os.killpg(process.pid, signum)
+        else:
+            process.send_signal(signum)
+        try:
+            code = process.wait(timeout=30)
+        except subprocess.TimeoutExpired:
+            os.killpg(process.pid, signal.SIGKILL)
+            code = None
+        return code, process.stderr.read()
+
+    @pytest.mark.parametrize(
+        "target,signum",
+        [("group", signal.SIGINT), ("group", signal.SIGTERM),
+         ("pid", signal.SIGTERM)],
+        ids=["group-SIGINT", "group-SIGTERM", "pid-SIGTERM"])
+    def test_pooled_daemon_drains_on_a_signal(self, target, signum):
+        """A signal to the whole process group (Ctrl-C, ``kill -TERM
+        -PGID``, ``timeout``) reaches the workers too; the daemon still
+        drains and exits 0, as for a signal to the daemon alone."""
+        process, port = self._pooled_daemon()
+        try:
+            status, body, _ = _post(
+                port, {"source": "int main(void) { return 2; }"},
+                timeout=60)
+            assert status == 200 and body["verdict"] == "verified"
+            code, stderr = self._stop(process, target, signum)
+        finally:
+            if process.poll() is None:
+                os.killpg(process.pid, signal.SIGKILL)
+                process.wait(timeout=10)
+        assert code == 0, stderr
+        assert "shut down cleanly" in stderr
+        assert "Traceback" not in stderr
+
+    def test_group_sigterm_answers_the_request_in_flight(self):
+        """The workers outlive a group SIGTERM until the daemon has
+        drained: a probe running when the signal lands is answered."""
+        process, port = self._pooled_daemon()
+        answers: list = []
+        source = load_source("compcert/mandelbrot.c")
+        client = threading.Thread(target=lambda: answers.append(_post(
+            port, {"source": source, "probe": True}, timeout=60)))
+        try:
+            client.start()
+            time.sleep(0.3)
+            code, stderr = self._stop(process, "group", signal.SIGTERM)
+            client.join(timeout=60)
+        finally:
+            if process.poll() is None:
+                os.killpg(process.pid, signal.SIGKILL)
+                process.wait(timeout=10)
+        assert code == 0, stderr
+        assert [status for status, _body, _ in answers] == [200]
+        assert "shut down cleanly" in stderr
+        assert "Traceback" not in stderr
+
     def test_bound_port_is_an_exit_2_diagnostic(self):
         from repro.__main__ import main
 

@@ -331,6 +331,67 @@ class TestFuzzMatrixCLI:
             f"(choose from {names})")
 
 
+#: Every count, size and time flag, with the name its type reports.
+_RANGED_FLAGS = [
+    (["run", "prog.c"], "--stack", "non-negative int"),
+    (["run", "prog.c"], "--fuel", "non-negative int"),
+    (["trace", "prog.c"], "--fuel", "non-negative int"),
+    (["trace", "prog.c"], "--limit", "non-negative int"),
+    (["profile", "prog.c"], "--fuel", "non-negative int"),
+    (["fuzz"], "--seeds", "non-negative int"),
+    (["fuzz"], "--jobs", "non-negative int"),
+    (["fuzz"], "--time-budget", "non-negative float"),
+    (["fuzz"], "--status-interval", "non-negative float"),
+    (["serve"], "--jobs", "non-negative int"),
+    (["serve"], "--timeout", "non-negative float"),
+    (["serve"], "--store-max-mb", "non-negative int"),
+    (["serve"], "--port", "port (0-65535)"),
+]
+
+
+class TestRangedFlags:
+    """A negative count, size or time is argparse's own error, exit 2,
+    never a verdict computed from it."""
+
+    @pytest.mark.parametrize(
+        "argv,flag,name", _RANGED_FLAGS,
+        ids=[f"{argv[0]}{flag}" for argv, flag, _ in _RANGED_FLAGS])
+    def test_minus_one_is_rejected(self, argv, flag, name, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, flag, "-1"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].endswith(
+            f"error: argument {flag}: invalid {name} value: '-1'")
+
+    @pytest.mark.parametrize("value", ["65536", "nan"])
+    def test_out_of_range_is_rejected(self, value, capsys):
+        flag = "--port" if value.isdigit() else "--timeout"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", flag, value])
+        assert exit_info.value.code == 2
+        assert f"argument {flag}: invalid" in capsys.readouterr().err
+
+    def test_zero_keeps_its_meaning(self):
+        """``serve --jobs 0`` runs in-process and ``--port 0`` picks a
+        free port; zero is in range for every flag."""
+        from repro.__main__ import _build_parser
+
+        args = _build_parser().parse_args(
+            ["serve", "--jobs", "0", "--port", "0", "--timeout", "0"])
+        assert (args.jobs, args.port, args.timeout) == (0, 0, 0.0)
+        args = _build_parser().parse_args(
+            ["fuzz", "--seeds", "0", "--status-interval", "0"])
+        assert (args.seeds, args.status_interval) == (0, 0.0)
+
+    def test_queue_check_stays(self, capsys):
+        """``--queue`` keeps its own check in the pool: a diagnosis."""
+        assert main(["serve", "--queue", "0", "--no-store"]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: queue depth must be at least 1")
+
+
 class TestErrors:
     """Diagnosed errors exit 2 uniformly: one line on stderr, no traceback."""
 
