@@ -332,18 +332,18 @@ def main(argv=None) -> int:
         failures.append(f"serve.batch.deduped is {deduped} (expected >= 1)")
 
     # Phase 5: malformed input, against a pooled daemon: every request
-    # gets a status, and the parser crashing on 60 nested parentheses is
-    # an internal error, not a lost worker.
+    # gets a status, and typecheck crashing on a 2000-term chain is an
+    # internal error, not a lost worker.
     bad_server = BoundsServer(ServeConfig(port=0, jobs=1, queue_depth=4,
                                           timeout_s=120.0, store_root=None))
     bad_server.start_background()
     bad_port = bad_server.bound_port
-    deep = ("int main(void) { return " + "(" * 60 + "1" + ")" * 60
-            + "; }").encode()
+    chain = ("int main(void) { int x = 1; return " + "+".join(["x"] * 2000)
+             + "; }").encode()
     bad = [("negative length", _post_raw(bad_port, -1), 400),
            ("oversized body", _post_raw(bad_port, MAX_BODY_BYTES + 1), 413),
            ("non-UTF-8 bytes", _post_raw(bad_port, 2, b"\xff\xfe"), 422),
-           ("60-deep expression", _post_raw(bad_port, len(deep), deep),
+           ("2000-term chain", _post_raw(bad_port, len(chain), chain),
             None)]
     bad_counters = _metrics(bad_port).get("counters", {})
     bad_server.stop(drain_timeout_s=10.0)

@@ -89,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = add_common(sub.add_parser(
         "run", help="execute on the finite-stack ASMsz machine"))
-    run.add_argument("--stack", type=_COUNT, default=None, metavar="BYTES",
+    run.add_argument("--stack", type=_STACK, default=None, metavar="BYTES",
                      help="stack size sz (default: the verified bound)")
     run.add_argument("--fuel", type=_COUNT, default=200_000_000)
     run.add_argument("--engine", default=None,
@@ -204,15 +204,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _in_range(kind: type, name: str, high: float = math.inf):
-    """An argparse ``type=``: a ``kind`` (int or float) in ``[0, high]``.
+def _in_range(kind: type, name: str, high: float = math.inf,
+              step: int = 1):
+    """An argparse ``type=``: a ``kind`` (int or float) in ``[0, high]``,
+    and a multiple of ``step`` when that is more than 1.
 
     A value out of range, NaN included, fails like a malformed one, so
     argparse prints its own ``invalid <name> value: '-1'`` and exits 2.
     """
     def parse(text: str):
         value = kind(text)
-        if not 0 <= value <= high:
+        if not 0 <= value <= high or (step > 1 and value % step):
             raise ValueError(text)
         return value
 
@@ -223,6 +225,9 @@ def _in_range(kind: type, name: str, high: float = math.inf):
 _COUNT = _in_range(int, "non-negative int")
 _SECONDS = _in_range(float, "non-negative float")
 _PORT = _in_range(int, "port (0-65535)", 65535)
+#: A stack that is not a whole number of words starts ESP misaligned, and
+#: the first push (the halt address) goes wrong whatever the program.
+_STACK = _in_range(int, "non-negative multiple of 4", step=4)
 
 
 def _plant_name(name: str) -> str:

@@ -44,6 +44,7 @@ chain no longer matches the manual bound.
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
 from repro import obs
@@ -263,31 +264,39 @@ class _Resolver:
 
 def _walk(node: c.Node):
     """Yield every AST node reachable from ``node`` (statements,
-    expressions and initializers), including ``node`` itself."""
-    yield node
-    for slot in _slots(type(node)):
-        value = getattr(node, slot, None)
-        if isinstance(value, c.Node):
-            yield from _walk(value)
-        elif isinstance(value, (list, tuple)):
-            for item in value:
-                if isinstance(item, c.Node):
-                    yield from _walk(item)
-                elif isinstance(item, tuple):  # switch cases: (value, stmts)
-                    for sub in item:
-                        if isinstance(sub, list):
-                            for child in sub:
-                                if isinstance(child, c.Node):
-                                    yield from _walk(child)
-                        elif isinstance(sub, c.Node):
-                            yield from _walk(sub)
+    expressions and initializers), including ``node`` itself, in pre-order
+    with children in slot order: the order numbers the indirect calls."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, c.Node):
+            continue
+        yield node
+        # Children go on the stack last-first, anything else is skipped
+        # when popped.
+        for slot in _child_slots(type(node)):
+            value = getattr(node, slot, None)
+            if isinstance(value, c.Node):
+                stack.append(value)
+            elif isinstance(value, (list, tuple)):
+                for item in reversed(value):
+                    if isinstance(item, tuple):  # switch cases: (value, stmts)
+                        for sub in reversed(item):
+                            if isinstance(sub, list):
+                                stack.extend(reversed(sub))
+                            else:
+                                stack.append(sub)
+                    else:
+                        stack.append(item)
 
 
-def _slots(cls) -> list[str]:
-    slots: list[str] = []
-    for klass in cls.__mro__:
-        slots.extend(getattr(klass, "__slots__", ()))
-    return slots
+@functools.cache
+def _child_slots(cls) -> tuple[str, ...]:
+    """``cls``'s slots, last first, without ``Node.loc`` and ``Expr.ty``,
+    which never hold a node."""
+    return tuple(reversed([slot for klass in cls.__mro__
+                           if klass not in (c.Node, c.Expr)
+                           for slot in getattr(klass, "__slots__", ())]))
 
 
 def resolve_function_pointers(program: c.Program,

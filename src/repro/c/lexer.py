@@ -34,9 +34,17 @@ OPERATORS = [
     "(", ")", "[", "]", "{", "}", ";", ",", ".", "?", ":",
 ]
 
-#: ``OPERATORS`` as one alternation: ``re`` takes the first alternative
-#: that matches, the operator the list order picks.
-_OPERATOR_RE = re.compile("|".join(map(re.escape, OPERATORS)))
+#: One token after any blanks; ``re`` takes the first alternative that
+#: matches: an identifier or keyword, the start of a number (which
+#: ``_scan_number`` reads), an operator (maximal munch in ``OPERATORS``
+#: order), or the rest (a word starting outside ASCII, or one character).
+_TOKEN_RE = re.compile(
+    r"[ \t\r\f\v]*(?:(?P<word>[A-Za-z_]\w*)"
+    r"|(?P<number>\d|\.\d)"
+    r"|(?P<op>" + "|".join(map(re.escape, OPERATORS)) + r")"
+    r"|(?P<rare>[^\W\d]\w*|[^ \t\r\f\v]))")
+#: A block comment, a line comment, or a "/*" with no "*/" after it.
+_COMMENT_RE = re.compile(r"/\*.*?\*/|//[^\n]*|/\*", re.S)
 
 
 class Token:
@@ -96,25 +104,7 @@ def tokenize(source: str, filename: str = "<string>",
 def _splice_lines(source: str) -> Iterator[str]:
     """Split into logical lines, joining backslash continuations and
     stripping comments (which may span lines)."""
-    # Remove block comments first, preserving line structure.
-    chars: list[str] = []
-    i = 0
-    n = len(source)
-    while i < n:
-        if source.startswith("/*", i):
-            end = source.find("*/", i + 2)
-            if end < 0:
-                raise LexError("unterminated block comment")
-            # keep the newlines inside the comment so line numbers stay right
-            chars.extend(ch for ch in source[i:end + 2] if ch == "\n")
-            i = end + 2
-        elif source.startswith("//", i):
-            end = source.find("\n", i)
-            i = n if end < 0 else end
-        else:
-            chars.append(source[i])
-            i += 1
-    text = "".join(chars)
+    text = _COMMENT_RE.sub(_strip_comment, source)
     pending = ""
     for raw_line in text.split("\n"):
         if raw_line.endswith("\\"):
@@ -126,6 +116,14 @@ def _splice_lines(source: str) -> Iterator[str]:
         pending = ""
     if pending:
         yield pending
+
+
+def _strip_comment(match: re.Match[str]) -> str:
+    # A block comment becomes the newlines it spanned, so line numbers stay
+    # right.  Stopping at the first unclosed "/*" keeps the scan linear.
+    if match.group() == "/*":
+        raise LexError("unterminated block comment")
+    return "\n" * match.group().count("\n")
 
 
 def _preprocess_directive(line: str, filename: str, line_no: int,
@@ -192,38 +190,29 @@ def _expand(tokens: Sequence[Token], macros: dict[str, list[Token]],
 
 def _tokenize_line(line: str, filename: str, line_no: int) -> list[Token]:
     tokens: list[Token] = []
-    i = 0
-    n = len(line)
-    while i < n:
-        ch = line[i]
-        if ch in " \t\r\f\v":
-            i += 1
-            continue
-        loc = SourceLocation(filename, line_no, i + 1)
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (line[i].isalnum() or line[i] == "_"):
-                i += 1
-            text = line[start:i]
-            kind = "keyword" if text in KEYWORDS else "id"
-            tokens.append(Token(kind, text, text, loc))
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and line[i + 1].isdigit()):
-            token, i = _scan_number(line, i, loc)
-            tokens.append(token)
-            continue
-        if ch == "'":
-            token, i = _scan_char(line, i, loc)
-            tokens.append(token)
-            continue
-        if ch == '"':
+    pos = 0
+    match = _TOKEN_RE.match
+    while (found := match(line, pos)) is not None:
+        kind = found.lastgroup
+        start, pos = found.span(kind)
+        text = line[start:pos]
+        loc = SourceLocation(filename, line_no, start + 1)
+        if kind == "word":
+            token = Token("keyword" if text in KEYWORDS else "id", text,
+                          text, loc)
+        elif kind == "op":
+            token = Token("op", text, text, loc)
+        elif kind == "number" or text[0].isdigit():
+            token, pos = _scan_number(line, start, loc)
+        elif text == "'":
+            token, pos = _scan_char(line, start, loc)
+        elif text[0].isalpha():
+            token = Token("id", text, text, loc)
+        elif text == '"':
             raise LexError("string literals are not supported", loc)
-        match = _OPERATOR_RE.match(line, i)
-        if match is None:
-            raise LexError(f"unexpected character {ch!r}", loc)
-        op = match.group()
-        tokens.append(Token("op", op, op, loc))
-        i = match.end()
+        else:
+            raise LexError(f"unexpected character {text[0]!r}", loc)
+        tokens.append(token)
     return tokens
 
 
@@ -236,7 +225,7 @@ def _scan_number(line: str, i: int, loc: SourceLocation) -> tuple[Token, int]:
         while i < n and (line[i] in "0123456789abcdefABCDEF"):
             i += 1
         text = line[start:i]
-        value = int(text, 16)
+        base = 16
     else:
         while i < n and line[i].isdigit():
             i += 1
@@ -255,11 +244,11 @@ def _scan_number(line: str, i: int, loc: SourceLocation) -> tuple[Token, int]:
                 while i < n and line[i].isdigit():
                     i += 1
         text = line[start:i]
-        if is_float:
-            value = float(text)
-        else:
-            value = int(text, 8) if text.startswith("0") and len(text) > 1 else int(text)
-
+        base = 8 if text.startswith("0") and len(text) > 1 else 10
+    try:
+        value = float(text) if is_float else int(text, base)
+    except ValueError:
+        raise LexError(f"malformed numeric literal {text!r}", loc) from None
     unsigned_suffix = False
     while i < n and line[i] in "uUlLfF":
         if line[i] in "uU":

@@ -1,4 +1,5 @@
-"""Recursive-descent parser for the C subset.
+"""Recursive-descent parser for the C subset, with precedence climbing
+for binary operators.
 
 Produces the untyped AST of :mod:`repro.c.ast`.  The parser keeps the
 ``typedef`` table and ``struct`` tag table it needs to disambiguate
@@ -19,6 +20,16 @@ from repro.errors import ParseError, UnsupportedFeatureError
 
 _ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="}
 
+#: Binary operators, loosest first: ``||`` and ``&&`` build ``Logical``.
+_PRECEDENCE: list[list[str]] = [
+    ["||"], ["&&"], ["|"], ["^"], ["&"],
+    ["==", "!="], ["<", "<=", ">", ">="],
+    ["<<", ">>"], ["+", "-"], ["*", "/", "%"],
+]
+#: Each binary operator's index in ``_PRECEDENCE``.
+_BINARY_LEVEL = {op: level for level, ops in enumerate(_PRECEDENCE)
+                 for op in ops}
+
 
 def parse(source: str, filename: str = "<string>",
           macros: Optional[dict[str, str]] = None) -> ast.Program:
@@ -38,8 +49,9 @@ class _Parser:
     # -- token plumbing ------------------------------------------------------
 
     def _peek(self, ahead: int = 0) -> Token:
-        index = min(self._pos + ahead, len(self._tokens) - 1)
-        return self._tokens[index]
+        if not ahead:
+            return self._tokens[self._pos]
+        return self._tokens[min(self._pos + ahead, len(self._tokens) - 1)]
 
     def _next(self) -> Token:
         token = self._tokens[self._pos]
@@ -48,9 +60,10 @@ class _Parser:
         return token
 
     def _expect_op(self, text: str) -> Token:
-        token = self._next()
-        if not token.is_op(text):
+        token = self._tokens[self._pos]
+        if token.kind != "op" or token.text != text:
             raise ParseError(f"expected {text!r}, found {token.text!r}", token.loc)
+        self._pos += 1
         return token
 
     def _expect_keyword(self, text: str) -> Token:
@@ -66,8 +79,9 @@ class _Parser:
         return token
 
     def _accept_op(self, text: str) -> bool:
-        if self._peek().is_op(text):
-            self._next()
+        token = self._tokens[self._pos]
+        if token.kind == "op" and token.text == text:
+            self._pos += 1
             return True
         return False
 
@@ -108,15 +122,12 @@ class _Parser:
 
     def _parse_toplevel_decl(self, globals_: list, functions: list,
                              externs: list) -> None:
-        is_extern = False
-        while True:
-            if self._accept_keyword("extern"):
-                is_extern = True
-            elif self._accept_keyword("static") or self._accept_keyword("const"):
-                pass  # accepted and ignored: storage/qualifiers do not
-                # affect stack bounds
-            else:
-                break
+        # Storage classes and qualifiers do not affect stack bounds; an
+        # extern data declaration is a zero-initialized definition (every
+        # benchmark is a single file).
+        while self._accept_keyword("extern") or \
+                self._accept_keyword("static") or self._accept_keyword("const"):
+            pass
         base = self._parse_type_specifier()
         if self._accept_op(";"):
             return  # bare struct declaration
@@ -142,10 +153,6 @@ class _Parser:
             init: Optional[ast.Initializer] = None
             if self._accept_op("="):
                 init = self._parse_initializer()
-            if is_extern and init is None:
-                # extern data declarations are treated as definitions with
-                # zero-initialization; every benchmark is a single file.
-                pass
             globals_.append(ast.GlobalDecl(name_token.text, ctype, init, name_token.loc))
             if self._accept_op(","):
                 name_token, ctype = self._parse_declarator(base)
@@ -373,15 +380,13 @@ class _Parser:
                 return params, varargs
             name_token = self._expect_ident()
             ctype: ct.CType = base
-            while self._accept_op("["):
+            if self._accept_op("["):
                 # Array parameters decay to pointers; the size (possibly
                 # empty) is accepted and discarded.
                 if not self._peek().is_op("]"):
                     self.parse_assignment()
                 self._expect_op("]")
-                ctype = ct.TPointer(ctype if not isinstance(ctype, ct.TPointer)
-                                    else ctype)
-                break
+                ctype = ct.TPointer(ctype)
             if isinstance(ctype, ct.TArray):
                 ctype = ct.TPointer(ctype.element)
             params.append(ast.ParamDecl(name_token.text, ctype))
@@ -588,25 +593,21 @@ class _Parser:
             return ast.Conditional(cond, then, otherwise, token.loc)
         return cond
 
-    _PRECEDENCE: list[list[str]] = [
-        ["||"], ["&&"], ["|"], ["^"], ["&"],
-        ["==", "!="], ["<", "<=", ">", ">="],
-        ["<<", ">>"], ["+", "-"], ["*", "/", "%"],
-    ]
-
     def _parse_binary(self, level: int) -> ast.Expr:
-        if level >= len(self._PRECEDENCE):
-            return self._parse_unary()
-        ops = self._PRECEDENCE[level]
-        left = self._parse_binary(level + 1)
-        while self._peek().kind == "op" and self._peek().text in ops:
-            token = self._next()
-            right = self._parse_binary(level + 1)
-            if token.text in ("&&", "||"):
+        """Precedence climbing: every operator at ``level`` or tighter
+        takes a right operand one level tighter (left-associative)."""
+        left = self._parse_unary()
+        while True:
+            token = self._tokens[self._pos]   # only an op spells an operator
+            op_level = _BINARY_LEVEL.get(token.text, -1)
+            if op_level < level:
+                return left
+            self._pos += 1
+            right = self._parse_binary(op_level + 1)
+            if op_level < 2:  # "||" and "&&"
                 left = ast.Logical(token.text, left, right, token.loc)
             else:
                 left = ast.Binary(token.text, left, right, token.loc)
-        return left
 
     def _parse_unary(self) -> ast.Expr:
         token = self._peek()

@@ -21,9 +21,16 @@ an artifact store holding the actual stage outputs, keyed by content:
 * **eviction is size-capped and pin-aware** — the store evicts
   least-recently-used entries once ``max_bytes`` is exceeded, but never
   an entry pinned by an in-flight request.  Checking the cap scans the
-  whole store, so a put made during a request (while this process holds
-  pins) defers the scan to the release of the last pin: one scan per
-  request, with the request's own entries still pinned.
+  whole store, so each store keeps a running total (what its last scan
+  found plus what it has written since) and scans only when that total
+  exceeds ``max_bytes`` or when it has written more than ``max_bytes //
+  16`` since its last scan (and once, at its first put).  A put made
+  during a request (while this process holds pins) defers a due scan to
+  the release of the last pin, with the request's own entries still
+  pinned.  So what a store has written since its last scan is at most a
+  sixteenth of the cap plus one request's puts, and with ``jobs`` stores
+  on one directory the directory exceeds the cap by at most that much
+  per store before some store scans.
 
 An entry is one JSON header line (schema, key, codec, sha256) followed
 by the payload bytes, which ``get`` hashes as read and decodes once.  The
@@ -121,9 +128,13 @@ class ResultStore:
         self._clock = 0                    # memory-mode LRU ticks
         self._stamps: dict[str, int] = {}
         self._pins: dict[str, int] = {}
-        #: A put made while pins are held leaves its eviction scan to
+        #: A put made while pins are held leaves a due eviction scan to
         #: the release of the last pin (one scan per request, not per put).
         self._scan_pending = False
+        #: What the last scan found (None before the first) and the bytes
+        #: put since: their sum is the running total.
+        self._scanned: Optional[int] = None
+        self._written = 0
         if root is not None:
             os.makedirs(root, exist_ok=True)
 
@@ -251,10 +262,17 @@ class ResultStore:
         header = json.dumps({"schema": STORE_SCHEMA, "key": key,
                              "codec": codec,
                              "sha256": hashlib.sha256(data).hexdigest()})
-        self.raw_write(key, header.encode() + b"\n" + data)
+        entry = header.encode() + b"\n" + data
+        self.raw_write(key, entry)
         obs.add(f"store.{_stage_of(key)}.puts")
         with self._lock:
-            if self._pins:
+            self._written += len(entry)
+            due = (self._scanned is None
+                   or self._scanned + self._written > self.max_bytes
+                   or self._written > self.max_bytes // 16)
+            if not due:
+                obs.set_gauge("store.bytes", self._scanned + self._written)
+            elif self._pins:
                 self._scan_pending = True
             else:
                 self._evict_if_needed()
@@ -334,9 +352,6 @@ class ResultStore:
         with self._lock:
             entries = sorted(self._entries(), key=lambda e: e[2])
             total = sum(size for _h, size, _s in entries)
-            if total <= self.max_bytes:
-                obs.set_gauge("store.bytes", total)
-                return
             pinned = self._pinned_handles()
             for handle, size, _stamp in entries:
                 if total <= self.max_bytes:
@@ -356,6 +371,7 @@ class ResultStore:
             # The LRU cap is observable before it thrashes: /metrics
             # reports occupancy next to the eviction counter.
             obs.set_gauge("store.bytes", total)
+            self._scanned, self._written = total, 0
 
     def __contains__(self, key: str) -> bool:
         return self.raw_read(key) is not None

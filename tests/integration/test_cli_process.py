@@ -26,8 +26,8 @@ REPO = os.path.dirname(os.path.dirname(os.path.dirname(
 CRC32 = str(program_path("mibench/crc32.c"))
 BLOWFISH = str(program_path("mibench/blowfish.c"))
 FIB = str(program_path("recursive/fib.c"))
-#: Overflows the parser's recursion (one frame chain per paren level).
-DEEP = "int main(void){return " + "(" * 60 + "1" + ")" * 60 + ";}\n"
+#: Overflows typecheck's recursion (one frame chain per operator).
+CHAIN = "int main(void){int x = 1; return " + "+".join(["x"] * 2000) + ";}\n"
 #: No ``main``: nothing to bound or to run.
 NO_MAIN = "int f(void) { return 1; }\n"
 #: Modules a one-shot op must not import.
@@ -219,8 +219,8 @@ class TestExitPath:
             assert validate_spans_jsonl(handle) > 0
 
     def test_internal_error_exits_70(self, tmp_path):
-        source = tmp_path / "deep.c"
-        source.write_text(DEEP)
+        source = tmp_path / "chain.c"
+        source.write_text(CHAIN)
         finished = _repro("bounds", str(source))
         assert finished.returncode == 70
         assert finished.stdout == b""

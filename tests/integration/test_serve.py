@@ -338,16 +338,41 @@ class TestMalformedInput:
         assert (response.status, body["verdict"]) == (status, "error")
         assert response.getheader("Connection") == "close"
 
+    @pytest.mark.parametrize("depth", [60, 120])
+    def test_deeply_parenthesised_expression_verifies(self, server, depth):
+        source = ("int main(void) { return " + "(" * depth + "1"
+                  + ")" * depth + "; }")
+        status, body, _ = _post(server.bound_port, {"source": source})
+        assert (status, body["verdict"]) == (200, "verified")
+
+    @pytest.mark.parametrize("literal", ["0x", "08", "09"])
+    def test_malformed_integer_literal_is_a_422(self, literal):
+        daemon = BoundsServer(ServeConfig(port=0, jobs=0, queue_depth=2,
+                                          timeout_s=60.0, store_root=None))
+        daemon.start_background()
+        try:
+            before = _get(daemon.bound_port, "/metrics")["counters"]
+            status, body, _ = _post(daemon.bound_port, {
+                "source": f"int x = {literal}; int main(void) {{ return x; }}"})
+            after = _get(daemon.bound_port, "/metrics")["counters"]
+        finally:
+            daemon.stop(drain_timeout_s=10.0)
+        assert (status, body["verdict"]) == (422, "error")
+        assert f"malformed numeric literal {literal!r}" in body["error"]
+        assert _delta(before, after).get("serve.internal_errors", 0) == 0
+
     @pytest.mark.parametrize("jobs", [0, 1])
     def test_pipeline_exception_is_an_internal_error(self, jobs):
-        # The parser recurses per parenthesis level and runs out of stack.
-        deep = "int main(void) { return " + "(" * 60 + "1" + ")" * 60 + "; }"
+        # Typecheck recurses once per operator of a 2000-term chain and
+        # runs out of stack.
+        chain = ("int main(void) { int x = 1; return "
+                 + "+".join(["x"] * 2000) + "; }")
         daemon = BoundsServer(ServeConfig(port=0, jobs=jobs, queue_depth=2,
                                           timeout_s=60.0, store_root=None))
         daemon.start_background()
         try:
             before = _get(daemon.bound_port, "/metrics")["counters"]
-            status, body, _ = _post(daemon.bound_port, {"source": deep})
+            status, body, _ = _post(daemon.bound_port, {"source": chain})
             after = _get(daemon.bound_port, "/metrics")["counters"]
         finally:
             daemon.stop(drain_timeout_s=10.0)

@@ -7,6 +7,8 @@ from repro.__main__ import main
 from repro.programs.catalog import RECURSIVE
 from repro.programs.loader import program_path
 
+CRC32 = str(program_path("mibench/crc32.c"))
+
 
 @pytest.fixture(autouse=True)
 def _reset_obs():
@@ -333,7 +335,7 @@ class TestFuzzMatrixCLI:
 
 #: Every count, size and time flag, with the name its type reports.
 _RANGED_FLAGS = [
-    (["run", "prog.c"], "--stack", "non-negative int"),
+    (["run", "prog.c"], "--stack", "non-negative multiple of 4"),
     (["run", "prog.c"], "--fuel", "non-negative int"),
     (["trace", "prog.c"], "--fuel", "non-negative int"),
     (["trace", "prog.c"], "--limit", "non-negative int"),
@@ -384,6 +386,24 @@ class TestRangedFlags:
         args = _build_parser().parse_args(
             ["fuzz", "--seeds", "0", "--status-interval", "0"])
         assert (args.seeds, args.status_interval) == (0, 0.0)
+
+    @pytest.mark.parametrize("size", ["1025", "1026", "1027"])
+    def test_stack_not_a_multiple_of_four_is_rejected(self, size, capsys):
+        """ESP would start off word alignment: no program could run."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--stack", size, CRC32])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].endswith(
+            "error: argument --stack: invalid non-negative multiple of 4 "
+            f"value: '{size}'")
+
+    def test_stack_multiple_of_four_runs(self, capsys):
+        assert main(["run", "--stack", "1024", CRC32]) == 1
+        assert capsys.readouterr().out.splitlines()[-2:] == [
+            "# Converges, exit code 1",
+            "# measured stack usage: 56 bytes (of 1024 available)"]
 
     def test_queue_check_stays(self, capsys):
         """``--queue`` keeps its own check in the pool: a diagnosis."""
@@ -445,12 +465,32 @@ class TestErrors:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("depth", [60, 120])
+    def test_deeply_parenthesised_expression_verifies(self, depth, tmp_path,
+                                                      capsys):
+        """A parenthesis level costs the parser seven frames, not 17."""
+        path = tmp_path / "deep.c"
+        path.write_text("int main(void){return " + "(" * depth + "1"
+                        + ")" * depth + ";}")
+        assert main(["bounds", str(path), "--check"]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("literal", ["0x", "08", "09"])
+    def test_malformed_integer_literal_is_diagnosed(self, literal, tmp_path,
+                                                    capsys):
+        path = tmp_path / "bad.c"
+        path.write_text(f"int x = {literal};\nint main(void){{return x;}}\n")
+        assert main(["bounds", str(path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {path}:1:9: malformed numeric literal {literal!r}"]
+
     def test_internal_error_exits_70(self, tmp_path, capsys):
         """An exception that is not a diagnosis is a bug: exit 70, never
         1 (a failed check), and its traceback ends in one line naming it."""
-        path = tmp_path / "deep.c"
-        path.write_text("int main(void){return " + "(" * 60 + "1"
-                        + ")" * 60 + ";}")
+        # A 2000-term chain: typecheck recurses once per operator.
+        path = tmp_path / "chain.c"
+        path.write_text("int main(void){int x = 1; return "
+                        + "+".join(["x"] * 2000) + ";}")
         assert main(["bounds", str(path)]) == 70
         captured = capsys.readouterr()
         assert captured.out == ""

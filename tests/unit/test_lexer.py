@@ -65,6 +65,17 @@ class TestNumbers:
     def test_integer_not_float(self):
         assert tokenize("123")[0].kind == "int"
 
+    # int() also refuses decimal strings over sys.get_int_max_str_digits().
+    @pytest.mark.parametrize("literal", [
+        "0x", "08", "09", "0x;", "019u",
+        pytest.param("1" * 5000, id="5000-digits")])
+    def test_malformed_integer_is_a_lex_error(self, literal):
+        with pytest.raises(LexError) as info:
+            tokenize(f"int x =\n  {literal}", "m.c")
+        text = literal.rstrip(";u")
+        assert str(info.value) == f"m.c:2:3: malformed numeric literal {text!r}"
+        assert (info.value.loc.line, info.value.loc.column) == (2, 3)
+
 
 class TestCharLiterals:
     def test_plain(self):
@@ -98,6 +109,13 @@ class TestComments:
     def test_unterminated_block(self):
         with pytest.raises(LexError):
             tokenize("/* never ends")
+
+    def test_many_unclosed_comments_are_rejected_at_the_first(self):
+        # Retrying the lazy block-comment match at every later "/*" scans
+        # to the end of the source each time: over a minute for these
+        # 300 KB, against milliseconds for one scan.
+        with pytest.raises(LexError, match="unterminated block comment"):
+            tokenize("/* " * 100_000)
 
 
 class TestPreprocessor:

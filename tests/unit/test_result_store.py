@@ -15,8 +15,10 @@ What these pin down, per the store's contract:
   ``certify`` writes, and unpickles the stored Clight program only for
   a stage that misses;
 * **eviction** — the size cap is honored, pinned (in-flight) entries
-  are never evicted, unpinned entries go oldest-first, and a request
-  scans the store once, at its end.
+  are never evicted, unpinned entries go oldest-first, and a store scans
+  only when due: at its first put, then once its running total passes
+  the cap or it has put a sixteenth of the cap since its last scan; a
+  scan due during a request waits for the request's end.
 """
 
 from __future__ import annotations
@@ -387,21 +389,60 @@ class TestEviction:
             store.put(f"backend:cold{index}:opt", {"pad": "x" * 100})
         assert "backend:hot:opt" not in store
 
-    def test_a_request_scans_the_store_once(self, tmp_path, monkeypatch,
-                                            metrics):
-        # A cold request makes four puts; the cap is checked once, when
-        # the request releases its pins.
+    def test_a_request_scans_only_when_due(self, tmp_path, monkeypatch,
+                                           metrics):
         store = ResultStore(str(tmp_path))
         scans = []
         entries = store._entries
         monkeypatch.setattr(store, "_entries",
                             lambda: scans.append(1) or entries())
+        # A process's first request scans once, when it releases its pins.
         document, _body = run_pipeline(ServeRequest(SOURCE), store)
         assert set(document["stages"].values()) == {"miss"}
         assert len(scans) == 1
-        # A put outside any request still scans at once.
-        store.put("backend:other:opt", {"pad": "x"})
+        # A later cold request far under the cap does not scan...
+        other = SOURCE.replace("return", "return 1 +", 1)
+        document, _body = run_pipeline(ServeRequest(other), store)
+        assert set(document["stages"].values()) == {"miss"}
+        assert len(scans) == 1
+        gauge = obs.snapshot()["gauges"]["store.bytes"]
+        assert gauge == sum(path.stat().st_size
+                            for path in tmp_path.glob("*.json"))
+        # ...but a put taking the running total over the cap scans at once.
+        store.max_bytes = gauge + 100
+        store.put("backend:other:opt", {"pad": "x" * 200})
         assert len(scans) == 2
+        assert store.size_bytes() <= store.max_bytes
+
+    def test_two_writers_stay_within_their_bound(self, tmp_path, metrics):
+        """Each writer scans once it has written more than a sixteenth of
+        the cap, at that put when it holds no pins, so two writers
+        overshoot it by at most two sixteenths plus one put each; this
+        sequence stays within the two sixteenths."""
+        max_bytes = 32_000
+        writers = [ResultStore(str(tmp_path), max_bytes),
+                   ResultStore(str(tmp_path), max_bytes)]
+        scans = []
+        for writer in writers:
+            evict = writer._evict_if_needed
+
+            def scan(writer=writer, evict=evict):
+                evict()
+                scans.append(writer._scanned)
+            writer._evict_if_needed = scan
+        # The first writer scans at its first put, then the second fills
+        # the directory to the cap behind its back; entries ~570 bytes.
+        keys = (f"backend:src{index}:opt" for index in itertools.count())
+        peak = 0
+        for writer, puts in ((0, 1), (1, 80), (0, 40), (1, 40), (0, 40)):
+            for _ in range(puts):
+                writers[writer].put(next(keys), {"pad": "x" * 500})
+                peak = max(peak, sum(path.stat().st_size
+                                     for path in tmp_path.glob("*.json")))
+        # The first writer's stale total lets it overshoot the cap, by less
+        # than the bound; without the sixteenth rule it reached 1.8x.
+        assert max_bytes < peak <= max_bytes * (1 + 2 / 16)
+        assert 2 < len(scans) < 200 and max(scans) <= max_bytes
 
     def test_a_request_overshooting_the_cap_ends_under_it(self, tmp_path,
                                                          metrics):
