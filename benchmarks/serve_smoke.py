@@ -23,8 +23,12 @@ server), writes the final ``/metrics`` snapshot to ``--metrics-out``
   all three results but runs the pipeline twice — the duplicate comes
   back with a ``duplicate_of`` marker and ``serve.batch.deduped``
   counts it;
-* malformed input gets its status (400, 413, 422, any for a parser
+* malformed input gets its status (400, 413, 422 for non-UTF-8 bytes
+  and for a file-scope ``1/0`` initializer, any for a type-checker
   crash), with no lost worker and exactly one internal error;
+* the budget: on a one-worker daemon, a request over its 1 s budget is
+  a 504 and stops there, so a distinct request right after it is a 200
+  within the budget (one timeout, no lost worker);
 * restart warmth: a second *subprocess* daemon on the first one's store
   answers crc32 3x faster, recomputes nothing stored, probes the same.
 
@@ -332,17 +336,21 @@ def main(argv=None) -> int:
         failures.append(f"serve.batch.deduped is {deduped} (expected >= 1)")
 
     # Phase 5: malformed input, against a pooled daemon: every request
-    # gets a status, and typecheck crashing on a 2000-term chain is an
-    # internal error, not a lost worker.
+    # gets a status, an undefined initializer is a diagnosis, and
+    # typecheck crashing on a 2000-term chain is an internal error, not
+    # a lost worker.
     bad_server = BoundsServer(ServeConfig(port=0, jobs=1, queue_depth=4,
                                           timeout_s=120.0, store_root=None))
     bad_server.start_background()
     bad_port = bad_server.bound_port
     chain = ("int main(void) { int x = 1; return " + "+".join(["x"] * 2000)
              + "; }").encode()
+    initializer = b"int x = 1/0;\nint main(void) { return x; }\n"
     bad = [("negative length", _post_raw(bad_port, -1), 400),
            ("oversized body", _post_raw(bad_port, MAX_BODY_BYTES + 1), 413),
            ("non-UTF-8 bytes", _post_raw(bad_port, 2, b"\xff\xfe"), 422),
+           ("file-scope 1/0", _post_raw(bad_port, len(initializer),
+                                        initializer), 422),
            ("2000-term chain", _post_raw(bad_port, len(chain), chain),
             None)]
     bad_counters = _metrics(bad_port).get("counters", {})
@@ -358,7 +366,36 @@ def main(argv=None) -> int:
             failures.append(f"malformed input: {name} is "
                             f"{bad_counters.get(name, 0)} (expected {want})")
 
-    # Phase 6: restart warmth.  Subprocess daemons (an honest restart:
+    # Phase 6: the budget, against a one-worker chaos daemon.  An
+    # over-budget request is stopped with its 504 (its worker is killed
+    # and replaced), so it holds up no request sent after it.
+    slow_server = BoundsServer(ServeConfig(port=0, jobs=1, queue_depth=4,
+                                           timeout_s=1.0, store_root=None,
+                                           allow_chaos=True))
+    slow_server.start_background()
+    slow_port = slow_server.bound_port
+    over_status, _body = _post(slow_port, {
+        "source": "int main(void) { return 0; }", "chaos": "sleep:5"})
+    started = time.perf_counter()
+    next_status, _body = _post(slow_port,
+                               {"source": "int main(void) { return 1; }"})
+    next_s = time.perf_counter() - started
+    slow_counters = _metrics(slow_port).get("counters", {})
+    slow_server.stop(drain_timeout_s=10.0)
+    print(f"# serve-smoke: over-budget request {over_status}, the next "
+          f"one {next_status} in {next_s * 1e3:.0f}ms")
+    if over_status != 504:
+        failures.append(f"over-budget request: status {over_status} "
+                        f"(expected 504)")
+    if next_status != 200 or next_s >= 1.0:
+        failures.append(f"request after a 504: status {next_status} in "
+                        f"{next_s:.2f}s (expected 200 within the budget)")
+    for name, want in (("serve.timeouts", 1), ("serve.worker_failures", 0)):
+        if slow_counters.get(name, 0) != want:
+            failures.append(f"timeout phase: {name} is "
+                            f"{slow_counters.get(name, 0)} (expected {want})")
+
+    # Phase 7: restart warmth.  Subprocess daemons (an honest restart:
     # fresh process, only the store directory survives) — the second
     # daemon must beat the first by the floor, recompute nothing the
     # store holds, and probe to what the first daemon's probe saw.

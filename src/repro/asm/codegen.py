@@ -138,18 +138,6 @@ def _h_ub(m, st: int, message: str):
     raise UndefinedBehaviorError(message)
 
 
-def _h_uint_of_float(value: float) -> int:
-    # Caller pre-sets ``m._cg_steps``.  Mirrors the decoded Pcvt
-    # uintoffloat op byte for byte.
-    if value != value:
-        raise UndefinedBehaviorError("float-to-uint of NaN")
-    truncated = int(value)
-    if truncated < 0 or truncated > ints.MAX_UNSIGNED:
-        raise UndefinedBehaviorError(
-            f"float-to-uint out of range: {value!r}")
-    return truncated
-
-
 def _h_check_int(result, name: str) -> int:
     if not isinstance(result, VInt):
         raise DynamicError(f"builtin {name} did not return an integer")
@@ -214,7 +202,7 @@ _H = {
     "mods": ints.mod_s,
     "modu": ints.mod_u,
     "ioffs": ints.of_float_signed,
-    "uoffs": _h_uint_of_float,
+    "uoffs": ints.of_float_unsigned,
 }
 
 

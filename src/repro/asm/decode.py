@@ -576,37 +576,17 @@ def _decode_cmpf(instr: asm.Pcmpf):
 
 def _decode_cvt(instr: asm.Pcvt):
     opname = instr.op
-    if opname == "intoffloat":
+    if opname in ("intoffloat", "uintoffloat"):
         d, s = IREG_INDEX[instr.dest], FREG_INDEX[instr.src]
+        convert = (ints.of_float_signed if opname == "intoffloat"
+                   else ints.of_float_unsigned)
 
-        def factory(machine, ctx, d=d, s=s):
+        def factory(machine, ctx, d=d, s=s, convert=convert):
             ir = machine.iregs.array
             fr = machine.fregs.array
 
-            def op(pc, ir=ir, fr=fr, d=d, s=s,
-                   conv=ints.of_float_signed):
+            def op(pc, ir=ir, fr=fr, d=d, s=s, conv=convert):
                 ir[d] = conv(fr[s])
-                return pc + 1
-            return op
-        return factory
-    if opname == "uintofloat":  # pragma: no cover - not emitted
-        pass
-    if opname == "uintoffloat":
-        d, s = IREG_INDEX[instr.dest], FREG_INDEX[instr.src]
-
-        def factory(machine, ctx, d=d, s=s):
-            ir = machine.iregs.array
-            fr = machine.fregs.array
-
-            def op(pc, ir=ir, fr=fr, d=d, s=s):
-                value = fr[s]
-                if value != value:
-                    raise UndefinedBehaviorError("float-to-uint of NaN")
-                truncated = int(value)
-                if truncated < 0 or truncated > ints.MAX_UNSIGNED:
-                    raise UndefinedBehaviorError(
-                        f"float-to-uint out of range: {value!r}")
-                ir[d] = truncated
                 return pc + 1
             return op
         return factory

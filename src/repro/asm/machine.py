@@ -362,14 +362,8 @@ class AsmMachine:
                 self.fregs[instr.src])
             return
         if instr.op == "uintoffloat":
-            value = self.fregs[instr.src]
-            if value != value:
-                raise UndefinedBehaviorError("float-to-uint of NaN")
-            truncated = int(value)
-            if truncated < 0 or truncated > ints.MAX_UNSIGNED:
-                raise UndefinedBehaviorError(
-                    f"float-to-uint out of range: {value!r}")
-            self.iregs[instr.dest] = truncated
+            self.iregs[instr.dest] = ints.of_float_unsigned(
+                self.fregs[instr.src])
             return
         if instr.op == "floatofint":
             self.fregs[instr.dest] = ints.to_float_signed(

@@ -19,16 +19,19 @@ This pass plays the role of CompCert's ``SimplExpr``/``SimplLocals``:
 
 from __future__ import annotations
 
+import math
 import struct as _struct
 from typing import Optional
 
+from repro import ops
 from repro.analyzer.values import FPResolution, resolve_function_pointers
 from repro.c import ast as c
 from repro.c import types as ct
 from repro.c.typecheck import ProgramEnv
 from repro.clight import ast as cl
-from repro.errors import LoweringError, UnsupportedFeatureError
+from repro.errors import LoweringError, StaticError, UnsupportedFeatureError
 from repro.memory.chunks import Chunk
+from repro.memory.values import VFloat
 
 _Effects = list  # list[cl.Stmt]
 
@@ -109,6 +112,10 @@ def _const_value(expr: c.Expr):
             return float(inner)
         if target.is_integer:
             assert isinstance(target, ct.TInt)
+            if isinstance(inner, float) and not math.isfinite(inner):
+                raise StaticError(
+                    f"conversion of {inner!r} to an integer is undefined",
+                    expr.loc)
             value = int(inner)
             mask = (1 << (8 * target.width)) - 1
             value &= mask
@@ -130,12 +137,21 @@ def _const_value(expr: c.Expr):
     if isinstance(expr, c.Binary):
         left = _const_value(expr.left)
         right = _const_value(expr.right)
+        if expr.op == "/" and (isinstance(left, float)
+                               or isinstance(right, float)):
+            return ops.eval_binop("divf", VFloat(float(left)),
+                                  VFloat(float(right))).value
+        if expr.op in ("/", "%") and right == 0:
+            raise StaticError("division by zero in a constant expression",
+                              expr.loc)
+        if expr.op in ("<<", ">>") and right < 0:
+            raise StaticError("negative shift count in a constant "
+                              "expression", expr.loc)
         table = {
             "+": lambda: left + right,
             "-": lambda: left - right,
             "*": lambda: left * right,
-            "/": lambda: left / right if isinstance(left, float)
-            or isinstance(right, float) else int(left) // int(right),
+            "/": lambda: int(left) // int(right),
             "%": lambda: int(left) % int(right),
             "<<": lambda: int(left) << int(right),
             ">>": lambda: int(left) >> int(right),

@@ -230,14 +230,23 @@ def of_float_signed(x: float) -> int:
 
     Out-of-range conversions are undefined behavior in C; x86's
     ``cvttsd2si`` produces the indefinite value, which CompCert models as
-    going wrong.  We raise.
+    going wrong.  We raise.  The range test comes before ``int()``, and
+    NaN and the infinities fail it, so every bad input raises the same
+    error.
     """
-    if x != x:  # NaN
-        raise UndefinedBehaviorError("float-to-int conversion of NaN")
-    truncated = int(x)
-    if truncated < MIN_SIGNED or truncated > MAX_SIGNED:
-        raise UndefinedBehaviorError(f"float-to-int conversion out of range: {x!r}")
-    return wrap(truncated)
+    if not MIN_SIGNED - 1.0 < x < MAX_SIGNED + 1.0:
+        raise UndefinedBehaviorError(
+            f"float-to-int conversion out of range: {x!r}")
+    return wrap(int(x))
+
+
+def of_float_unsigned(x: float) -> int:
+    """Truncate a double toward zero into an unsigned 32-bit integer
+    (undefined behavior out of range, as for :func:`of_float_signed`)."""
+    if not -1.0 < x < MODULUS:
+        raise UndefinedBehaviorError(
+            f"float-to-uint conversion out of range: {x!r}")
+    return int(x)
 
 
 def to_float_signed(a: int) -> float:

@@ -98,14 +98,7 @@ def eval_unop(op: str, value: Value) -> Value:
     if op == "intoffloat":
         return VInt(ints.of_float_signed(_float(value, op)))
     if op == "uintoffloat":
-        f = _float(value, op)
-        if f != f:
-            raise UndefinedBehaviorError("float-to-uint conversion of NaN")
-        truncated = int(f)
-        if truncated < 0 or truncated > ints.MAX_UNSIGNED:
-            raise UndefinedBehaviorError(
-                f"float-to-uint conversion out of range: {f!r}")
-        return VInt(truncated)
+        return VInt(ints.of_float_unsigned(_float(value, op)))
     if op == "floatofint":
         return VFloat(ints.to_float_signed(_int(value, op)))
     if op == "floatofuint":

@@ -1,42 +1,58 @@
 """The serving worker pool: persistent processes, bounded in-flight work.
 
-``ServePool`` shards verify requests across a ``multiprocessing.Pool``
-that reuses the campaign pool's machinery: the same warmup initializer
-(:func:`repro.testing.campaign.pool_warmup` pays import/compile cold
-start once per worker) and the same telemetry protocol (workers drain a
-per-request metrics *delta* — heartbeat gauges included — that rides
-back on the result and is merged into the parent registry, so
-``/metrics`` reports pool-wide aggregates without shared memory).
+``ServePool`` owns ``jobs`` worker processes, forked from the daemon,
+each with one duplex pipe to it.  Idle workers wait in a queue; a
+request takes one, sends it ``(ServeRequest, chaos)`` and waits on that
+pipe for the answer.  A worker pays the campaign's import/compile cold
+start once (:func:`repro.testing.campaign.pool_warmup`), builds its
+:class:`ResultStore` once, and ships a per-request metrics *delta* —
+heartbeat gauges included — back with each answer; the daemon merges
+it into its registry, so ``/metrics`` reports pool-wide aggregates
+without shared memory.
 
-Capacity is a semaphore over *in-flight* requests (running + queued).
-``submit`` never blocks on a full queue: it raises
+Capacity is a semaphore over *in-flight* requests (running + waiting
+for a worker).  ``submit`` never blocks on a full queue: it raises
 :class:`PoolSaturated` immediately, which the HTTP layer turns into
 ``503 Retry-After`` — load sheds at the door instead of growing an
-unbounded backlog.  Every accepted request gets a terminal answer: a
-result, a diagnosed 422, or — if the worker exceeds the per-request
-timeout or dies mid-request — a 5xx error response.  A lost worker's
-task is never silently retried (the pipeline is deterministic; the
-client owns the retry decision).
+unbounded backlog.  Every admitted request gets a terminal answer
+within its budget, which starts at admission: a result, a diagnosed
+422, a 504 when the budget runs out, or a 500 as soon as its worker is
+lost (an EOF on the pipe).  A 504 SIGKILLs the worker running the
+request, so the request stops there; a fresh worker replaces it, and
+one replaces a lost worker too.  A lost worker's request is never
+retried (the pipeline is deterministic; the client owns the retry
+decision).
+
+A worker ignores SIGINT and SIGTERM, which a signal to the daemon's
+process group delivers to it as well: the daemon drains the requests
+in flight, then :meth:`ServePool.close` SIGKILLs and joins every
+worker.  A worker shares no lock with the daemon.  It exits when its
+pipe closes or when the daemon dies, which it watches through the
+daemon's process sentinel.  A worker forked later holds copies of the
+daemon's ends of both for every earlier worker, so when the daemon is
+killed the youngest worker exits first and each exit frees the next.
 
 An answer is ``(http_status, warm, body)``: ``body`` is the response
 already encoded (canonical JSON, validated by the process that encoded
 it), so the parent writes it as it is, and ``warm`` says whether every
 pipeline stage replayed from the store.
 
-``jobs=0`` runs requests in-process (serialized by a lock): no fork, no
-IPC — the mode unit tests and tiny deployments use.
+``jobs=0`` runs requests in-process (serialized by a lock, and without
+a budget): no fork, no IPC — the mode unit tests and tiny deployments
+use.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing.pool
+import multiprocessing
 import os
+import queue
 import signal
 import threading
 import time
 import traceback
-from multiprocessing import Pool, RawValue
+from multiprocessing.connection import wait
 from multiprocessing.util import Finalize
 from typing import Optional
 
@@ -71,16 +87,10 @@ class _Flight:
         self.saturated = False
 
 
-#: Worker-side store handles, one per (root, cap) this process has seen.
-_worker_stores: dict[tuple, ResultStore] = {}
-
-
-def _worker_store(root: Optional[str], max_bytes: int) -> ResultStore:
-    key = (root, max_bytes)
-    store = _worker_stores.get(key)
-    if store is None:
-        store = _worker_stores[key] = ResultStore(root, max_bytes)
-    return store
+def _seconds_left(deadline: float) -> float:
+    """The wait left before ``deadline``, capped at the longest poll(2)
+    takes (milliseconds in a C int), so an infinite budget still waits."""
+    return min(max(0.0, deadline - time.monotonic()), (2 ** 31 - 1) / 1000)
 
 
 def _apply_chaos(chaos: Optional[str]) -> None:
@@ -94,14 +104,10 @@ def _apply_chaos(chaos: Optional[str]) -> None:
         time.sleep(float(chaos.split(":", 1)[1]))
 
 
-def _execute(payload: dict, store: ResultStore) -> Answer:
+def _execute(request: ServeRequest, chaos: Optional[str],
+             store: ResultStore) -> Answer:
     """Run one request against a store."""
-    _apply_chaos(payload.get("chaos"))
-    request = ServeRequest(source=payload["source"],
-                           filename=payload["filename"],
-                           macros=payload["macros"],
-                           options=_options_from_key(payload["options"]),
-                           probe=bool(payload.get("probe", False)))
+    _apply_chaos(chaos)
     try:
         document, body = run_pipeline(request, store)
     except ReproError as error:
@@ -117,66 +123,45 @@ def _execute(payload: dict, store: ResultStore) -> Answer:
     return 200, set(document["stages"].values()) == {"hit"}, body
 
 
-def _worker_init(stopping) -> None:
-    """Pool initializer: the campaign's warmup, and the worker's signals.
+class _Worker(multiprocessing.Process):
+    """One worker process: ``conn`` is the daemon's end of its pipe,
+    ``pipe`` the worker's."""
 
-    A signal sent to the daemon's whole process group (Ctrl-C, ``kill
-    -TERM -PGID``, ``timeout``) or to all of its processes (systemd's
-    stop) reaches every worker too.  The daemon drains on it and then
-    stops the pool itself, so a worker must outlive it: one that died
-    would take the task queue's read lock with it (an idle worker holds
-    it while it waits), and ``Pool.terminate`` would wait for that lock
-    forever.  So a worker ignores SIGINT, and takes SIGTERM in a thread
-    of its own (:func:`_await_stop`) instead of in a handler, which a
-    signal arriving just before a blocking wait would never run.
-    """
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
-    threading.Thread(target=_await_stop, args=(stopping,),
-                     daemon=True).start()
-    pool_warmup()
+    def __init__(self, store_root: Optional[str], max_bytes: int) -> None:
+        super().__init__(daemon=True)
+        self.conn, self.pipe = multiprocessing.Pipe()
+        self._store_args = (store_root, max_bytes)
 
+    def run(self) -> None:
+        """Answer requests until the pipe closes or the daemon dies.
 
-def _await_stop(stopping) -> None:
-    """End the worker on a SIGTERM that comes after ``stopping`` is set.
-
-    :meth:`ServePool.close` sets the shared flag, then ``Pool.terminate``
-    takes the task queue's read lock and sends SIGTERM: the worker holds
-    no lock the daemon still needs, and exits at once, as the default
-    action would have.  A SIGTERM before that is the group's, and the
-    worker keeps serving until the daemon has drained.
-    """
-    while True:
-        signal.sigwait({signal.SIGTERM})
-        if stopping.value:
-            os._exit(128 + signal.SIGTERM)
-
-
-def _options_from_key(items: list) -> "CompilerOptions":
-    from repro.driver import CompilerOptions
-
-    return CompilerOptions(**dict(items))
-
-
-def _serve_worker(payload: dict) -> tuple[Answer, Optional[dict]]:
-    """Pool worker: one request, instrumented, delta shipped back.
-
-    Mirrors the campaign's ``_check_one``: enable obs, discard state
-    inherited through ``fork()``, run the request, stamp the worker
-    heartbeat gauge, and return the per-request metrics delta for the
-    parent to merge.
-    """
-    obs.enable()
-    obs.drain_metrics()
-    obs.drain_spans()
-    store = _worker_store(payload["store_root"], payload["store_max_bytes"])
-    with obs.span("serve.request", filename=payload["filename"]) as span:
-        answer = _execute(payload, store)
-        span.set(status=answer[0])
-    pid = os.getpid()
-    obs.set_gauge(f"serve.worker.{pid}.heartbeat", time.time())
-    obs.add(f"serve.worker.{pid}.requests")
-    return answer, obs.drain_metrics()
+        Mirrors the campaign's ``_check_one``: obs state inherited
+        through ``fork()`` is discarded before each request, and the
+        answer carries the request's metrics delta, the worker's
+        heartbeat gauge included.
+        """
+        self.conn.close()
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)
+        pool_warmup()
+        obs.enable()
+        store = ResultStore(*self._store_args)
+        daemon = multiprocessing.parent_process().sentinel
+        try:
+            while daemon not in wait([self.pipe, daemon]):
+                request, chaos = self.pipe.recv()
+                obs.drain_metrics()
+                obs.drain_spans()
+                with obs.span("serve.request",
+                              filename=request.filename) as span:
+                    answer = _execute(request, chaos, store)
+                    span.set(status=answer[0])
+                obs.set_gauge(f"serve.worker.{self.pid}.heartbeat",
+                              time.time())
+                obs.add(f"serve.worker.{self.pid}.requests")
+                self.pipe.send((answer, obs.drain_metrics()))
+        except (EOFError, OSError):
+            pass  # the daemon closed the pipe or is gone
 
 
 class ServePool:
@@ -200,23 +185,22 @@ class ServePool:
         self._inline_lock = threading.Lock()
         self._flights: dict[tuple, _Flight] = {}
         self._flights_lock = threading.Lock()
-        self._pool: Optional[multiprocessing.pool.Pool] = None
-        self._store: Optional[ResultStore] = None
-        if jobs > 0:
-            stopping = RawValue("b", 0)
-            # Called by close(), or at exit before the pool's own
-            # terminate (exit priority 15) if close() never ran.
-            self._stop_workers = Finalize(self, setattr,
-                                          args=(stopping, "value", 1),
-                                          exitpriority=16)
-            try:
-                self._pool = Pool(processes=jobs, initializer=_worker_init,
-                                  initargs=(stopping,))
-            except Exception as error:
-                raise ServeError(
-                    f"worker pool failed to start: {error}") from error
-        else:
-            self._store = ResultStore(store_root, store_max_bytes)
+        self._idle: "queue.SimpleQueue[_Worker]" = queue.SimpleQueue()
+        self._workers: set[_Worker] = set()
+        self._workers_lock = threading.Lock()
+        self._closed = False
+        # At exit too, before multiprocessing terminates and joins its
+        # children: its SIGTERM would not end a worker.
+        self._finalizer = Finalize(None, self._stop_workers, exitpriority=10)
+        self._store = (ResultStore(store_root, store_max_bytes) if jobs == 0
+                       else None)
+        try:
+            for _ in range(jobs):
+                self._start_worker()
+        except Exception as error:
+            self.close()
+            raise ServeError(
+                f"worker pool failed to start: {error}") from error
 
     @property
     def inflight(self) -> int:
@@ -245,18 +229,15 @@ class ServePool:
         sheds as 503), after waiting up to the request budget with
         ``block=True`` (the ``/batch`` fan-out: items queue politely
         instead of shedding their own batch).  Once a request holds a
-        slot it always gets a terminal answer — timeouts and dead
+        slot it always gets a terminal answer — timeouts and lost
         workers come back as 5xx error documents, never as a dropped
         request.
         """
-        from repro.driver import CompilerOptions
-
-        options = options or CompilerOptions()
+        request = ServeRequest(source, filename, macros, options, probe)
         if chaos is not None:
-            return self._dispatch(source, filename, macros, options,
-                                  chaos, probe, block)
-        key = (source_digest(source, macros), options_digest(options),
-               bool(probe))
+            return self._dispatch(request, chaos, block)
+        key = (source_digest(source, macros),
+               options_digest(request.options), bool(probe))
         with self._flights_lock:
             flight = self._flights.get(key)
             if flight is None:
@@ -268,8 +249,7 @@ class ServePool:
             return self._follow(flight)
         obs.add("serve.singleflight.leaders")
         try:
-            flight.answer = self._dispatch(source, filename, macros,
-                                           options, chaos, probe, block)
+            flight.answer = self._dispatch(request, chaos, block)
             return flight.answer
         except PoolSaturated:
             flight.saturated = True
@@ -286,7 +266,7 @@ class ServePool:
             obs.add("serve.timeouts")
             return _error(504, ServeError(
                 "collapsed request: the leading computation exceeded "
-                f"the {self.timeout_s:.0f}s budget"))
+                f"the {self.timeout_s:g}s budget"))
         if flight.saturated:
             obs.add("serve.rejected")
             raise PoolSaturated(
@@ -298,9 +278,7 @@ class ServePool:
         return status, warm, encode_json({**json.loads(body),
                                           "collapsed": True})
 
-    def _dispatch(self, source: str, filename: str,
-                  macros: Optional[dict[str, str]], options,
-                  chaos: Optional[str], probe: bool,
+    def _dispatch(self, request: ServeRequest, chaos: Optional[str],
                   block: bool) -> Answer:
         """Slot accounting + worker dispatch for one uncollapsed request."""
         if not self._slots.acquire(blocking=block,
@@ -309,56 +287,83 @@ class ServePool:
             obs.add("serve.rejected")
             raise PoolSaturated(
                 f"all {self.queue_depth} in-flight slots are taken")
+        deadline = time.monotonic() + self.timeout_s
         with self._state_lock:
             self._inflight += 1
         try:
-            payload = {"source": source, "filename": filename,
-                       "macros": macros, "options": list(options.key()),
-                       "chaos": chaos, "probe": probe,
-                       "store_root": self.store_root,
-                       "store_max_bytes": self.store_max_bytes}
-            if self._pool is None:
+            if self.jobs == 0:
                 # In-process mode: the pipeline writes straight into the
                 # live registry; serialize actual execution.
                 with self._inline_lock:
-                    store = self._store
-                    assert store is not None
-                    return _execute(payload, store)
-            result = self._pool.apply_async(_serve_worker, (payload,))
-            try:
-                answer, delta = result.get(self.timeout_s)
-            except multiprocessing.TimeoutError:
-                obs.add("serve.timeouts")
-                return _error(504, ServeError(
-                    f"request exceeded the {self.timeout_s:.0f}s budget "
-                    "or its worker died mid-request"))
-            except Exception as error:  # worker lost without a result
-                obs.add("serve.worker_failures")
-                return _error(500, ServeError(
-                    f"worker failed: {type(error).__name__}: {error}"))
-            if delta is not None:
-                with self._merge_lock:
-                    obs.merge(delta)
-            return answer
+                    return _execute(request, chaos, self._store)
+            return self._run(request, chaos, deadline)
         finally:
             with self._state_lock:
                 self._inflight -= 1
             self._slots.release()
 
-    def drain(self, timeout_s: float = 30.0) -> bool:
-        """Wait for in-flight requests to finish; True if all did."""
-        deadline = time.monotonic() + timeout_s
-        while time.monotonic() < deadline:
-            if self.inflight == 0:
-                return True
-            time.sleep(0.02)
-        return self.inflight == 0
+    def _run(self, request: ServeRequest, chaos: Optional[str],
+             deadline: float) -> Answer:
+        """Run one request on an idle worker before ``deadline``."""
+        try:
+            worker = self._idle.get(timeout=_seconds_left(deadline))
+        except queue.Empty:
+            return self._over_budget()
+        try:
+            worker.conn.send((request, chaos))
+            done = worker.conn.poll(_seconds_left(deadline))
+            reply = worker.conn.recv() if done else None
+        except (EOFError, OSError):
+            self._replace(worker)
+            obs.add("serve.worker_failures")
+            return _error(500, ServeError(
+                f"worker lost mid-request (exit code {worker.exitcode})"))
+        if reply is None:
+            self._replace(worker)
+            return self._over_budget()
+        self._idle.put(worker)
+        answer, delta = reply
+        with self._merge_lock:
+            obs.merge(delta)
+        return answer
+
+    def _over_budget(self) -> Answer:
+        obs.add("serve.timeouts")
+        return _error(504, ServeError(
+            f"request exceeded the {self.timeout_s:g}s budget"))
+
+    def _start_worker(self) -> None:
+        """Fork one worker and queue it as idle (none once closed)."""
+        with self._workers_lock:
+            if self._closed:
+                return
+            worker = _Worker(self.store_root, self.store_max_bytes)
+            worker.start()
+            worker.pipe.close()
+            self._workers.add(worker)
+        self._idle.put(worker)
+
+    def _replace(self, worker: _Worker) -> None:
+        """SIGKILL and reap ``worker``, then start its replacement."""
+        worker.kill()
+        worker.join()
+        with self._workers_lock:
+            self._workers.discard(worker)
+        self._start_worker()
+
+    def _stop_workers(self) -> None:
+        with self._workers_lock:
+            self._closed = True
+            workers, self._workers = self._workers, set()
+        for worker in workers:
+            worker.kill()
+            worker.join()
 
     def close(self) -> None:
-        """Shut the worker processes down (in-flight answers first:
-        call :meth:`drain` before closing for a graceful exit)."""
-        if self._pool is not None:
-            self._stop_workers()
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
+        """SIGKILL and join every worker; none starts after this.
+
+        A graceful stop drains the requests in flight first
+        (:meth:`repro.serve.server.BoundsServer.drain`).  A pool that is
+        never closed is closed at exit.
+        """
+        self._finalizer()

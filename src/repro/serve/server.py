@@ -20,10 +20,11 @@ Responses the daemon can produce for ``/verify``:
 400   malformed request (bad JSON or length, unknown option, …)
 413   the declared body exceeds :data:`MAX_BODY_BYTES`; not read
 422   the pipeline rejected the program (parse error, recursion, …)
-500   an internal error, or a worker lost without a result
+500   an internal error, or a worker lost mid-request
 503   every in-flight slot taken — ``Retry-After`` is set, nothing
       was queued; the client owns the retry
-504   the request exceeded the per-request budget (or its worker died)
+504   the request exceeded the per-request budget; its worker was
+      stopped and replaced
 ====  =====================================================
 
 ``run_server`` adds the process discipline: one-line exit-2
@@ -134,12 +135,19 @@ class _Handler(BaseHTTPRequestHandler):
     # -- POST /verify and /batch -------------------------------------------
 
     def do_POST(self) -> None:  # noqa: N802
-        if self.path == "/batch":
-            self._do_batch()
-            return
-        if self.path != "/verify":
-            self._send_json(404, {"error": f"no such endpoint {self.path}"})
-            return
+        self._srv.answering.add(self)
+        try:
+            if self.path == "/batch":
+                self._do_batch()
+            elif self.path == "/verify":
+                self._do_verify()
+            else:
+                self._send_json(404,
+                                {"error": f"no such endpoint {self.path}"})
+        finally:
+            self._srv.answering.discard(self)
+
+    def _do_verify(self) -> None:
         started = time.perf_counter()
         obs.add("serve.requests")
         raw = self._read_body()
@@ -382,6 +390,18 @@ class BoundsServer(ThreadingHTTPServer):
                 f"cannot bind {config.host}:{config.port}: "
                 f"{error.strerror or error}") from error
         obs.set_gauge("serve.started_at", self.started_at)
+        #: The handlers answering a POST request, each until the last
+        #: byte of its answer is written.
+        self.answering: set[_Handler] = set()
+
+    def drain(self, timeout_s: float) -> bool:
+        """Wait until every POST request read is answered in full (the
+        pool's ``inflight`` ends when an answer is computed, before it is
+        written); True if all were within ``timeout_s``."""
+        deadline = time.monotonic() + timeout_s
+        while self.answering and time.monotonic() < deadline:
+            time.sleep(0.02)
+        return not self.answering
 
     @property
     def bound_port(self) -> int:
@@ -411,7 +431,7 @@ class BoundsServer(ThreadingHTTPServer):
         backpressure contract.
         """
         self.shutdown()
-        drained = self.pool.drain(drain_timeout_s)
+        drained = self.drain(drain_timeout_s)
         self.pool.close()
         self.server_close()
         return drained
@@ -440,7 +460,7 @@ def run_server(config: ServeConfig) -> int:
         previous = {}
     try:
         server.serve_forever(poll_interval=0.2)
-        drained = server.pool.drain(max(config.timeout_s, 1.0))
+        drained = server.drain(max(config.timeout_s, 1.0))
         server.pool.close()
         server.server_close()
         print("# serve: shut down cleanly"

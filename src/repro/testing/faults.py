@@ -732,8 +732,8 @@ def _worker_death() -> tuple[bool, str, str]:
     finally:
         pool.close()
     answer = json.loads(body)
-    if status >= 500 and answer.get("verdict") == "error":
-        return True, "request-timeout", answer["error"]
+    if status == 500 and answer.get("verdict") == "error":
+        return True, "lost-worker", answer["error"]
     return False, "", (f"lost worker produced status {status}: "
                        f"{answer.get('verdict')!r}")
 

@@ -13,6 +13,8 @@ The acceptance contract, executable:
 * a saturated queue answers 503 with ``Retry-After`` and never drops a
   request it accepted;
 * bad input is answered at once, and never costs a worker;
+* a request over its budget is a 504 that stops its worker, a lost
+  worker is a 500 at once, and no worker outlives its pool or daemon;
 * every body on the wire is the canonical encoding of its document,
   the certificate spliced in as stored included;
 * ``SIGTERM`` drains in-flight requests and exits 0 (subprocess test).
@@ -23,6 +25,7 @@ from __future__ import annotations
 import glob
 import http.client
 import json
+import multiprocessing
 import os
 import re
 import signal
@@ -39,7 +42,7 @@ import pytest
 from repro import obs
 from repro.driver import CompilerOptions, verify_stack_bounds
 from repro.programs.loader import load_source
-from repro.serve import STAGES, BoundsServer, ServeConfig
+from repro.serve import STAGES, BoundsServer, ServeConfig, ServePool
 from repro.serve.server import MAX_BODY_BYTES
 
 #: The catalog sample: auto-analyzable, fast, structurally varied.
@@ -128,6 +131,27 @@ def _post_batch(port: int, items: list[dict],
 def _delta(before: dict, after: dict) -> dict[str, float]:
     return {name: after.get(name, 0) - before.get(name, 0)
             for name in set(before) | set(after)}
+
+
+def _children(pid: int) -> set[int]:
+    """The pids of a process's children, read from Linux ``/proc``."""
+    children: set[int] = set()
+    for path in glob.glob(f"/proc/{pid}/task/*/children"):
+        try:
+            with open(path) as handle:
+                children.update(int(child) for child in handle.read().split())
+        except FileNotFoundError:   # a thread that ended
+            pass
+    return children
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a process that has not exited (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 @pytest.fixture(scope="module")
@@ -380,6 +404,165 @@ class TestMalformedInput:
         delta = _delta(before, after)
         assert delta.get("serve.internal_errors") == 1
         assert delta.get("serve.worker_failures", 0) == 0
+
+    @pytest.mark.parametrize("initializer",
+                             ["1/0", "5 % 0", "1 << -1", "1e400"])
+    def test_undefined_initializer_is_a_422(self, server, initializer):
+        before = _get(server.bound_port, "/metrics")["counters"]
+        status, body, _ = _post(server.bound_port, {
+            "source": f"int x = {initializer};\n"
+                      "int main(void) { return x; }\n"})
+        after = _get(server.bound_port, "/metrics")["counters"]
+        assert (status, body["verdict"]) == (422, "error")
+        assert "<request>:1:" in body["error"]
+        delta = _delta(before, after)
+        assert delta.get("serve.internal_errors", 0) == 0
+        assert delta.get("serve.worker_failures", 0) == 0
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="reads worker pids from Linux /proc")
+class TestPoolWorkers:
+    """The pool owns its worker processes: a 504 stops its request, a
+    lost worker is answered at once, and no worker outlives the pool."""
+
+    @staticmethod
+    def _chaos_daemon(timeout_s: float) -> BoundsServer:
+        daemon = BoundsServer(ServeConfig(port=0, jobs=1, queue_depth=4,
+                                          timeout_s=timeout_s,
+                                          store_root=None, allow_chaos=True))
+        daemon.start_background()
+        return daemon
+
+    def test_pool_starts_no_thread(self):
+        # Threads an earlier test left may end meanwhile: compare sets.
+        before = set(threading.enumerate())
+        pool = ServePool(jobs=2, store_root=None)
+        try:
+            assert set(threading.enumerate()) - before == set()
+        finally:
+            pool.close()
+
+    def test_over_budget_request_stops_its_worker(self):
+        daemon = self._chaos_daemon(timeout_s=0.5)
+        port = daemon.bound_port
+        try:
+            before = _get(port, "/metrics")["counters"]
+            started = time.perf_counter()
+            status, body, _ = _post(port, {
+                "source": "int main(void) { return 0; }",
+                "chaos": "sleep:3"})
+            elapsed = time.perf_counter() - started
+            # Distinct sources, so each one runs the pipeline.
+            after_statuses = [
+                _post(port, {"source": f"int main(void) {{ return {n}; }}"})[0]
+                for n in range(1, 5)]
+            after = _get(port, "/metrics")["counters"]
+        finally:
+            daemon.stop(drain_timeout_s=10.0)
+        assert (status, body["verdict"]) == (504, "error")
+        assert "0.5s budget" in body["error"]
+        assert elapsed < 1.0
+        assert after_statuses == [200] * 4
+        delta = _delta(before, after)
+        assert delta.get("serve.timeouts") == 1
+        assert delta.get("serve.worker_failures", 0) == 0
+
+    def test_lost_worker_is_answered_at_once(self):
+        daemon = self._chaos_daemon(timeout_s=3.0)
+        port = daemon.bound_port
+        try:
+            before = _get(port, "/metrics")["counters"]
+            started = time.perf_counter()
+            status, body, _ = _post(port, {
+                "source": "int main(void) { return 0; }", "chaos": "die"})
+            elapsed = time.perf_counter() - started
+            next_status = _post(port, {
+                "source": "int main(void) { return 1; }"})[0]
+            after = _get(port, "/metrics")["counters"]
+        finally:
+            daemon.stop(drain_timeout_s=10.0)
+        assert (status, body["verdict"]) == (500, "error")
+        assert elapsed < 1.0
+        assert next_status == 200
+        delta = _delta(before, after)
+        assert delta.get("serve.worker_failures") == 1
+        assert delta.get("serve.timeouts", 0) == 0
+
+    def test_infinite_budget_is_served(self):
+        pool = ServePool(jobs=1, timeout_s=float("inf"), store_root=None)
+        try:
+            status, _warm, _body = pool.submit("int main(void) { return 0; }")
+        finally:
+            pool.close()
+        assert status == 200
+
+    def test_close_leaves_no_worker(self):
+        before = {child.pid for child in multiprocessing.active_children()}
+        pool = ServePool(jobs=2, store_root=None)
+        workers = {child.pid for child
+                   in multiprocessing.active_children()} - before
+        pool.close()
+        assert len(workers) == 2
+        assert not [pid for pid in workers if _running(pid)]
+
+    @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGKILL],
+                             ids=["SIGTERM", "SIGKILL"])
+    def test_no_worker_outlives_the_daemon(self, signum):
+        """A drained daemon reaps its workers; a killed one cannot, and its
+        workers notice it is gone."""
+        process, _port = TestSignalDrain._pooled_daemon()
+        workers = _children(process.pid)
+        try:
+            process.send_signal(signum)
+            process.wait(timeout=30)
+            deadline = time.monotonic() + 5.0
+            while any(map(_running, workers)) \
+                    and time.monotonic() < deadline:
+                time.sleep(0.05)
+            left = [pid for pid in workers if _running(pid)]
+        finally:
+            if process.poll() is None:
+                os.killpg(process.pid, signal.SIGKILL)
+                process.wait(timeout=10)
+            for pid in workers:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
+            process.stderr.close()
+        assert len(workers) == 2
+        assert left == []
+
+
+class TestDrain:
+    """A drain ends when the answers in flight are written, not when they
+    are computed: the daemon may exit as soon as it returns."""
+
+    def test_stop_waits_for_the_answer_to_be_written(self, monkeypatch):
+        from repro.serve.server import _Handler
+
+        written = threading.Event()
+        send_body = _Handler._send_body
+
+        def slow_send_body(handler, *args, **kwargs):
+            time.sleep(0.3)
+            send_body(handler, *args, **kwargs)
+            written.set()
+
+        monkeypatch.setattr(_Handler, "_send_body", slow_send_body)
+        daemon = BoundsServer(ServeConfig(port=0, jobs=0, queue_depth=2,
+                                          timeout_s=30.0, store_root=None,
+                                          allow_chaos=True))
+        daemon.start_background()
+        client = threading.Thread(target=_post, args=(daemon.bound_port, {
+            "source": "int main(void) { return 0; }", "chaos": "sleep:0.3"}))
+        client.start()
+        deadline = time.monotonic() + 30.0
+        while daemon.pool.inflight == 0 and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert daemon.stop(drain_timeout_s=10.0)
+        assert written.is_set()
+        client.join(30)
+        assert not client.is_alive()
 
 
 class TestMetricsDoc:

@@ -156,6 +156,29 @@ class TestConstprop:
         constprop_program(program)
         assert run_rtl(program).return_code == 6
 
+    def test_infinite_conversion_not_folded(self):
+        # 1e400 reads as infinity; its conversion to int goes wrong.
+        program = to_rtl("int main(void) { int x = 1e400; return x; }")
+        constprop_program(program)
+        from repro.events.trace import GoesWrong
+
+        assert isinstance(run_rtl(program), GoesWrong)
+
+
+@pytest.mark.parametrize("ctype", ["int", "unsigned"])
+def test_infinite_double_to_integer_goes_wrong_at_every_level(ctype):
+    """An out-of-range conversion goes wrong in Clight's semantics; every
+    interpreter agrees, whatever the target's signedness."""
+    from repro.driver import compile_c
+    from repro.events.trace import GoesWrong
+
+    compilation = compile_c("double g = 1e300;\nint main(void) { "
+                            f"g = g * g; return ({ctype})g; }}\n")
+    for behavior in (run_clight(compilation.clight),
+                     run_rtl(compilation.rtl), run_mach(compilation.mach)):
+        assert isinstance(behavior, GoesWrong)
+        assert "conversion out of range: inf" in behavior.reason
+
 
 class TestDeadcode:
     def test_dead_computation_removed(self):

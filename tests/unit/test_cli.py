@@ -66,6 +66,21 @@ class TestRun:
         path.write_text("int main() { return 7; }\n")
         assert main(["run", str(path)]) == 7
 
+    @pytest.mark.parametrize("ctype", ["int", "unsigned"])
+    @pytest.mark.parametrize("argv, code", [
+        (["run", "--engine", "legacy"], 125),
+        (["run", "--engine", "decoded"], 125),
+        (["run", "--engine", "codegen"], 125), (["run"], 125),
+        (["trace"], 0)], ids=["legacy", "decoded", "codegen", "default",
+                              "trace"])
+    def test_infinite_conversion_goes_wrong(self, argv, code, ctype,
+                                            tmp_path, capsys):
+        path = tmp_path / "inf.c"
+        path.write_text("double g = 1e300;\nint main(void) { g = g * g; "
+                        f"return ({ctype})g; }}\n")
+        assert main([*argv, str(path)]) == code
+        assert "GoesWrong" in capsys.readouterr().out
+
 
 class TestDump:
     @pytest.mark.parametrize("level", ["clight", "rtl", "linear", "mach",
@@ -483,6 +498,31 @@ class TestErrors:
         assert main(["bounds", str(path)]) == 2
         assert capsys.readouterr().err.splitlines() == [
             f"error: {path}:1:9: malformed numeric literal {literal!r}"]
+
+    @pytest.mark.parametrize("initializer, column, message", [
+        ("int x = 1/0;", 10, "division by zero in a constant expression"),
+        ("int x = 5 % 0;", 11, "division by zero in a constant expression"),
+        ("int x = 1 << -1;", 11,
+         "negative shift count in a constant expression"),
+        ("int x = 1e400;", 9, "conversion of inf to an integer is undefined"),
+    ])
+    def test_undefined_initializer_is_diagnosed(self, initializer, column,
+                                                message, tmp_path, capsys):
+        path = tmp_path / "init.c"
+        path.write_text(f"{initializer}\nint main(void){{return x;}}\n")
+        assert main(["bounds", str(path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {path}:1:{column}: {message}"]
+
+    @pytest.mark.parametrize("source", [
+        "double d = 1.0/0.0;\nint main(void){return d > 1e308;}\n",
+        "int main(void){int x = 1e400; return x;}\n"],
+        ids=["global-division", "local-conversion"])
+    def test_non_finite_double_verifies(self, source, tmp_path, capsys):
+        path = tmp_path / "inf.c"
+        path.write_text(source)
+        assert main(["bounds", str(path), "--check"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_internal_error_exits_70(self, tmp_path, capsys):
         """An exception that is not a diagnosis is a bug: exit 70, never

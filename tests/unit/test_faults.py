@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import time
 
 import pytest
 
@@ -224,11 +225,14 @@ class TestServingOperators:
         assert detected, diagnostic
         assert caught_by == "response-schema"
 
-    def test_worker_death_is_caught_by_the_request_timeout(self):
+    def test_worker_death_is_caught_by_the_lost_pipe(self):
+        started = time.perf_counter()
         detected, caught_by, diagnostic = \
             get_operator("worker-death").apply()
         assert detected, diagnostic
-        assert caught_by == "request-timeout"
+        assert caught_by == "lost-worker"
+        # Answered when the pipe closes, not when the 3 s budget runs out.
+        assert time.perf_counter() - started < 3.0
 
     def test_serving_operators_are_not_plants(self):
         # --plant is a compiler-layer concept; the serving scenarios

@@ -133,10 +133,21 @@ class TestFloatConversions:
             ints.of_float_signed(float("nan"))
 
     def test_out_of_range_is_ub(self):
-        with pytest.raises(UndefinedBehaviorError):
-            ints.of_float_signed(2.0 ** 40)
-        with pytest.raises(UndefinedBehaviorError):
-            ints.of_float_signed(-(2.0 ** 40))
+        for value in (2.0 ** 40, -(2.0 ** 40), float("inf"), float("-inf"),
+                      2.0 ** 31, -(2.0 ** 31) - 1.0):
+            with pytest.raises(UndefinedBehaviorError):
+                ints.of_float_signed(value)
+        for value in (2.0 ** 40, 2.0 ** 32, -1.0, float("inf"),
+                      float("-inf"), float("nan")):
+            with pytest.raises(UndefinedBehaviorError):
+                ints.of_float_unsigned(value)
+
+    def test_range_edges_truncate(self):
+        assert ints.of_float_signed(2.0 ** 31 - 0.5) == ints.MAX_SIGNED
+        assert ints.to_signed(ints.of_float_signed(-(2.0 ** 31) - 0.5)) \
+            == ints.MIN_SIGNED
+        assert ints.of_float_unsigned(2.0 ** 32 - 0.5) == ints.MAX_UNSIGNED
+        assert ints.of_float_unsigned(-0.5) == 0
 
     def test_int_to_float_exact(self):
         assert ints.to_float_signed(ints.to_unsigned(-5)) == -5.0
